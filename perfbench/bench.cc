@@ -3,19 +3,21 @@
 // session) followed by open-loop serving of the trained checkpoint over TCP.
 // README.md in this directory explains the workloads and every metric.
 //
-//   perfbench --workload=train_directed --seed=1 --seconds=30 --trace=0
+//   perfbench --workload=train_directed --seed=1 --seconds=40 --trace=0
 //
 // The last line of standard output is one JSON object with the keys
 // correct, attempted, failed and metrics. --trace=0 reports the end-to-end
 // metrics, --trace=1 the per-layer ones (and writes the spans to
 // --trace_dir). Every output check that fails counts as a failed operation.
 
+#include <malloc.h>
 #include <sched.h>
 #include <sys/resource.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -59,20 +61,22 @@ using adpa::Rng;
 using adpa::TrainConfig;
 using adpa::TrainResult;
 
-/// One workload: the graph the pipeline runs on and how many full pipeline
-/// passes a run makes. Serving takes the rest of --seconds. README.md gives
-/// the reason for each.
+/// One workload: the graph the pipeline runs on, how many full pipeline
+/// passes a run makes, and whether an untraced run steps the ladder of
+/// offered rates (a traced run always does). Serving takes the rest of
+/// --seconds. README.md gives the reason for each.
 struct Workload {
   const char* name;
   const char* dataset;
   double scale;
   int passes;
+  bool ladder;
 };
 
 constexpr Workload kWorkloads[] = {
-    {"train_directed", "Chameleon", 5.0, 3},
-    {"amud_undirected", "Tolokers", 3.0, 3},
-    {"serve_tcp", "Chameleon", 5.0, 2},
+    {"train_directed", "Chameleon", 5.0, 5, false},
+    {"amud_undirected", "Tolokers", 3.0, 4, false},
+    {"serve_tcp", "Chameleon", 5.0, 3, true},
 };
 
 constexpr int kPipelineThreads = 2;  // kernel threads of the pipeline passes
@@ -80,7 +84,6 @@ constexpr int kServeThreads = 1;     // kernel threads of the server
 constexpr int kEpochs = 20;
 constexpr int kMaxPatternOrder = 2;
 constexpr int kKeepPatterns = 4;
-constexpr int kSetupSamples = 3;
 constexpr int kNodesPerQuery = 8;
 constexpr int kQueryPool = 1024;
 constexpr int kQueryConnections = 3;  // plus one admin connection for reloads
@@ -132,6 +135,25 @@ double ProcessCpuSeconds() {
   getrusage(RUSAGE_SELF, &usage);
   return double(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
          double(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) * 1e-6;
+}
+
+/// Keeps the memory the library frees inside the process: no block gets an
+/// mmap of its own and the heap is never trimmed on its own. With glibc's
+/// defaults every large matrix a pass frees goes back to the kernel and the
+/// next pass faults it in again, page by page: about 2.5 million page faults
+/// and a quarter of a pass's CPU time on amud_undirected, in kernel time whose
+/// cost follows the host's memory pressure rather than the program. A
+/// long-running process reuses its heap the same way.
+void KeepFreedMemory() {
+  ADPA_CHECK(mallopt(M_MMAP_MAX, 0) == 1);
+  ADPA_CHECK(mallopt(M_TRIM_THRESHOLD, INT_MAX) == 1);
+}
+
+/// Minor page faults of the whole process so far.
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return int64_t(usage.ru_minflt);
 }
 
 double ThreadCpuSeconds() {
@@ -194,6 +216,7 @@ struct PassResult {
   double pipeline_cpu_s = 0.0;  // process CPU time of the same intervals
   double setup_cpu_s = 0.0;
   double train_cpu_s = 0.0;
+  int64_t minor_faults = 0;  // page faults of the whole pass
   TrainResult train;
   Dataset dataset;  // after the AMUD decision
   std::vector<DirectedPattern> patterns;
@@ -285,14 +308,15 @@ TrainResult ReplayTraining(adpa::Model* model, const Dataset& d,
   return result;
 }
 
-/// One pass of the pipeline. With `setup_only` it stops after Eq. 9.
-/// `replay` times the epochs step by step instead of calling TrainModel.
+/// One pass of the pipeline. `replay` times the epochs step by step instead
+/// of calling TrainModel.
 PassResult RunPass(const Workload& w, uint64_t seed, const std::string& ckpt_path,
-                   bool setup_only, bool replay, Tracer* tracer, Ledger* ledger) {
+                   bool replay, Tracer* tracer, Ledger* ledger) {
   PassResult r;
   const Clock::time_point t0 = Clock::now();
   const double cpu0 = ProcessCpuSeconds();
-  ScopedSpan pass(tracer, setup_only ? "setup_pass" : "pass", "bench");
+  const int64_t faults0 = MinorFaults();
+  ScopedSpan pass(tracer, "pass", "bench");
   r.pass_span = pass.id();
 
   Result<adpa::BenchmarkSpec> spec = adpa::FindBenchmark(w.dataset);
@@ -339,7 +363,6 @@ PassResult RunPass(const Workload& w, uint64_t seed, const std::string& ckpt_pat
   const double cpu_setup = ProcessCpuSeconds();
   r.setup_s = Seconds(t0, t_setup);
   r.setup_cpu_s = cpu_setup - cpu0;
-  if (setup_only) return r;
 
   const TrainConfig train_config = MakeTrainConfig();
   {
@@ -376,6 +399,7 @@ PassResult RunPass(const Workload& w, uint64_t seed, const std::string& ckpt_pat
   }
   r.pipeline_s = Seconds(t0, Clock::now());
   r.pipeline_cpu_s = ProcessCpuSeconds() - cpu0;
+  r.minor_faults = MinorFaults() - faults0;
   tracer->End(pass.id());
 
   r.ckpt_bytes = int64_t(std::filesystem::file_size(ckpt_path));
@@ -673,12 +697,12 @@ Rung RunRung(adpa::serve::SessionRegistry* registry, const std::vector<Query>& p
 }
 
 /// Serves the pass's checkpoint from the real epoll server on loopback and
-/// drives it open-loop: a warm-up, the ladder, reloads of the checkpoint
-/// while queries run at a low rate, and last the reference rate for the rest
-/// of `budget_s`. Each phase gets a fresh server, so the server's own latency
-/// figures belong to that phase.
+/// drives it open-loop: a warm-up, the ladder (when `ladder` is set), reloads
+/// of the checkpoint while queries run at a low rate, and last the reference
+/// rate for the rest of `budget_s`. Each phase gets a fresh server, so the
+/// server's own latency figures belong to that phase.
 ServeReport Serve(const std::string& ckpt_path, const Dataset& dataset,
-                  const std::vector<Query>& pool, double budget_s,
+                  const std::vector<Query>& pool, double budget_s, bool ladder,
                   Tracer* tracer, Ledger* ledger) {
   const Clock::time_point start = Clock::now();
   ServeReport report;
@@ -703,8 +727,8 @@ ServeReport Serve(const std::string& ckpt_path, const Dataset& dataset,
   };
   double best = 0.0;
   int misses = 0;
-  for (double qps = kLadderStartQps; qps <= kLadderMaxQps && misses < kMaxMisses;
-       qps *= kCoarseStep) {
+  for (double qps = kLadderStartQps;
+       ladder && qps <= kLadderMaxQps && misses < kMaxMisses; qps *= kCoarseStep) {
     const Rung rung = RunRung(&registry, pool, qps, &next_id, &report, tracer, ledger);
     if (rung.meets_slo) best = qps;
     misses = rung.meets_slo ? 0 : misses + 1;
@@ -845,6 +869,11 @@ void PrintResult(const std::vector<Metric>& metrics, const Ledger& ledger) {
 }
 
 std::string Summary(const std::vector<double>& samples, const char* unit) {
+  if (samples.size() < 10) {  // too few for a tail: list them
+    std::string list;
+    for (double v : samples) list += (list.empty() ? "" : " ") + Num(v).substr(0, 6);
+    return "median " + Num(Median(samples)).substr(0, 6) + " " + unit + " of [" + list + "]";
+  }
   const double tail = TailPercentile(samples.size());
   char buf[160];
   std::snprintf(buf, sizeof(buf), "median %.4g %s, p%g %.4g %s, n=%zu",
@@ -854,11 +883,12 @@ std::string Summary(const std::vector<double>& samples, const char* unit) {
 }
 
 int Main(int argc, char** argv) {
+  KeepFreedMemory();
   adpa::Flags flags;
   if (!flags.Parse(argc, argv)) return 2;
   const std::string workload_name = flags.GetString("workload", "");
   const uint64_t seed = uint64_t(flags.GetInt("seed", 1));
-  const double seconds = flags.GetDouble("seconds", 30.0);
+  const double seconds = flags.GetDouble("seconds", 40.0);
   const bool trace = flags.GetInt("trace", 0) != 0;
   const std::string trace_dir = flags.GetString("trace_dir", ".");
   const std::string work_dir = flags.GetString("work_dir", ".");
@@ -882,6 +912,7 @@ int Main(int argc, char** argv) {
               "\"trace\": %d, \"nproc\": %d, \"simd\": \"%s\", \"march\": \"%s\", "
               "\"build_type\": \"%s\", \"pipeline_threads\": %d, "
               "\"server_threads\": %d, \"client_threads\": 2, \"compiler\": \"%s\", "
+              "\"malloc\": \"no mmap, no trim\", "
               "\"commit\": \"%s\"}\n",
               w->name, (unsigned long long)seed, seconds, int(trace), cpus,
               adpa::simd::LevelName(adpa::simd::ActiveLevel()), PERFBENCH_MARCH,
@@ -912,9 +943,8 @@ int Main(int argc, char** argv) {
   for (int p = 0; p < full_passes; ++p) {
     const bool traced_pass = trace && p == 2;
     Tracer off(false);
-    passes.push_back(RunPass(*w, seed, ckpt_path, /*setup_only=*/false,
-                             /*replay=*/traced_pass, traced_pass ? &tracer : &off,
-                             &ledger));
+    passes.push_back(RunPass(*w, seed, ckpt_path, /*replay=*/traced_pass,
+                             traced_pass ? &tracer : &off, &ledger));
     if (p > 0) {
       ledger.Check(SameTraining(passes[0].train, passes[p].train),
                    traced_pass ? "traced epoch replay matches TrainModel bit for bit"
@@ -929,13 +959,6 @@ int Main(int argc, char** argv) {
     setup_s.push_back(p.setup_s);
     setup_cpu_s.push_back(p.setup_cpu_s);
   }
-  while (!trace && int(setup_s.size()) < kSetupSamples) {
-    Tracer off(false);
-    const PassResult p =
-        RunPass(*w, seed, ckpt_path, /*setup_only=*/true, false, &off, &ledger);
-    setup_s.push_back(p.setup_s);
-    setup_cpu_s.push_back(p.setup_cpu_s);
-  }
   const PassResult& last = passes.back();
 
   LayerProbe probe;
@@ -946,6 +969,10 @@ int Main(int argc, char** argv) {
     probe = ProbeLayers(last, *natural, seed, &tracer);
   }
 
+  // Serving starts from a trimmed heap, so the peak RSS stays that of the
+  // passes; the heap serving grows afterwards is never trimmed, and its size
+  // varies with the run.
+  malloc_trim(0);
   adpa::SetNumThreads(kServeThreads);
   Result<adpa::serve::InferenceSession> session =
       adpa::serve::InferenceSession::Create(last.checkpoint, last.dataset);
@@ -965,7 +992,7 @@ int Main(int argc, char** argv) {
   }
   const ServeReport serve =
       Serve(ckpt_path, last.dataset, pool, seconds - Seconds(run_start, Clock::now()),
-            &tracer, &ledger);
+            /*ladder=*/trace || w->ladder, &tracer, &ledger);
   std::remove(ckpt_path.c_str());
 
   // Per-pass figures of the untraced passes.
@@ -993,7 +1020,9 @@ int Main(int argc, char** argv) {
       {"query_p99_ms", serve.reference_p99_ms, "ms",
        "median of 0.5 s window p99s at " + Num(kReferenceQps) + " qps"},
       {"qps_at_slo", serve.qps_at_slo, "1/s",
-       "achieved rate of the highest rung that keeps up with p50 <= 1 ms"},
+       serve.ladder.empty()
+           ? "no ladder in this run: serve_tcp and traced runs step it"
+           : "achieved rate of the highest rung that keeps up with p50 <= 1 ms"},
       {"reload_ms", Median(serve.reload_ms), "ms",
        "client-observed, " + Summary(serve.reload_ms, "ms")},
   };
@@ -1070,6 +1099,8 @@ int Main(int argc, char** argv) {
          "ag::AnalyzeTape on the loss"},
         {"tape_nodes_eval", double(last.tape_nodes_eval), "count",
          "ag::AnalyzeTape on eval logits"},
+        {"pass_minor_faults", double(last.minor_faults), "count",
+         "page faults of the traced pass (freed memory stays in the heap)"},
         {"ckpt_save_ms", stage_ms("ckpt_save"), "ms",
          "io: MakeCheckpoint + SaveCheckpoint"},
         {"ckpt_load_ms", stage_ms("ckpt_load"), "ms", "io: TryLoadCheckpoint"},

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds and runs the repository benchmark (README.md in this directory).
 
-    python3 perfbench/run.py --workload train_directed --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload train_directed --seed 1 --seconds 40 --trace 0
 
 Builds ``perfbench`` from this checkout's sources into ``.bench_build/`` (an
 optimised build; the first run compiles the library), runs one workload in
