@@ -45,7 +45,7 @@ RunStats RunAtThreadCount(const serve::InferenceSession& session, int threads,
                           uint64_t seed) {
   SetNumThreads(threads);
   serve::ServeMetrics metrics;
-  serve::MicroBatcher batcher(&session, &metrics);
+  serve::MicroBatcher batcher(&metrics);
   Rng rng(seed);
 
   auto draw_nodes = [&] {
@@ -57,28 +57,22 @@ RunStats RunAtThreadCount(const serve::InferenceSession& session, int threads,
   };
 
   // Warmup: touch every code path once before timing.
-  auto warm = batcher.Submit(draw_nodes());
-  batcher.PumpOnce();
-  ADPA_CHECK(warm.Wait().ok());
+  batcher.Add(draw_nodes());
+  ADPA_CHECK(batcher.AnswerAll(&session)[0].ok());
 
   const auto start = std::chrono::steady_clock::now();
-  std::vector<serve::MicroBatcher::Ticket> tickets;
-  tickets.reserve(burst);
   int remaining = num_requests;
   while (remaining > 0) {
     const int in_burst = remaining < burst ? remaining : burst;
-    tickets.clear();
-    for (int i = 0; i < in_burst; ++i) {
-      tickets.push_back(batcher.Submit(draw_nodes()));
+    for (int i = 0; i < in_burst; ++i) batcher.Add(draw_nodes());
+    for (const auto& answer : batcher.AnswerAll(&session)) {
+      ADPA_CHECK(answer.ok());
     }
-    while (batcher.queue_depth() > 0) batcher.PumpOnce();
-    for (auto& ticket : tickets) ADPA_CHECK(ticket.Wait().ok());
     remaining -= in_burst;
   }
   const double elapsed_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-  batcher.Shutdown();
 
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   RunStats stats;

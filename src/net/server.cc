@@ -40,7 +40,7 @@ Server::Server(const ServerOptions& options, serve::SessionRegistry* registry,
                serve::ServeMetrics* metrics)
     : options_(options),
       registry_(registry),
-      batcher_(*registry, metrics, options.batcher) {}
+      batcher_(metrics, options.batcher) {}
 
 Server::~Server() = default;
 
@@ -141,13 +141,14 @@ Status Server::Serve() {
     if (HygieneEnabled()) EnforceHygiene();
 
     // All requests harvested this wakeup — including lines from several
-    // connections readable at once — coalesce through one pump pass.
-    PumpQueue();
+    // connections readable at once — coalesce through one AnswerAll call.
+    AnswerQueued();
     for (auto& [fd, conn] : connections_) {
       if (conn->dead) continue;
       ResolvePending(conn.get());
       FlushWrites(conn.get());
     }
+    answers_.clear();
     CollectFinished();
     if (draining_ && connections_.empty()) break;
   }
@@ -168,7 +169,7 @@ void Server::HandleWake() {
         // SIGHUP convention: re-read the last loaded checkpoint path.
         // Answer everything already queued with the old session first so
         // the reply stream has a clean swap boundary.
-        PumpQueue();
+        AnswerQueued();
         const Result<serve::SessionRegistry::ReloadInfo> info =
             registry_->ReloadCurrent();
         if (info.ok()) {
@@ -301,7 +302,7 @@ void Server::ProcessLines(Connection* conn) {
     }
     if (next == LineFramer::Next::kOversized) {
       ++stats_.dropped;
-      PendingReply reply;
+      serve::PendingReply reply;
       reply.immediate = serve::FormatErrorReply(
           -1, "request line exceeds " +
                   std::to_string(conn->framer.max_line_bytes()) +
@@ -316,7 +317,7 @@ void Server::ProcessLines(Connection* conn) {
 void Server::HandleLine(Connection* conn, const std::string& line) {
   if (line.empty()) return;  // blank lines are ignored, as in stdin mode
   Result<serve::ServeRequest> request = serve::ParseRequestLine(line);
-  PendingReply reply;
+  serve::PendingReply reply;
   if (!request.ok()) {
     reply.immediate = serve::FormatErrorReply(-1, request.status().message());
   } else if (request->is_reload) {
@@ -324,9 +325,9 @@ void Server::HandleLine(Connection* conn, const std::string& line) {
       reply.immediate = serve::FormatErrorReply(
           request->id, "reload is disabled on this server");
     } else {
-      // Flush queries received ahead of the reload so they are answered by
-      // the old session: the swap lands on a clean reply boundary.
-      PumpQueue();
+      // Answer queries received ahead of the reload with the old session:
+      // the swap lands on a clean reply boundary.
+      AnswerQueued();
       const Result<serve::SessionRegistry::ReloadInfo> info =
           registry_->Reload(request->reload_path);
       if (info.ok()) {
@@ -340,41 +341,30 @@ void Server::HandleLine(Connection* conn, const std::string& line) {
       }
     }
   } else {
-    reply.has_ticket = true;
     reply.id = request->id;
-    reply.ticket =
-        batcher_.Submit(std::move(request->nodes), request->deadline_ms);
+    // Add indexes the next AnswerAll result, which AnswerQueued appends
+    // after the answers_ already held.
+    reply.answer = static_cast<int64_t>(answers_.size()) +
+                   batcher_.Add(std::move(request->nodes),
+                                request->deadline_ms);
   }
   conn->pending.push_back(std::move(reply));
 }
 
-void Server::PumpQueue() {
-  // PumpOnce blocks on the condvar when the queue is empty (it was built
-  // for a dedicated pump thread); the event loop — like the stdin server —
-  // only pumps while work is queued.
-  while (batcher_.queue_depth() > 0) batcher_.PumpOnce();
+void Server::AnswerQueued() {
+  // Pin the serving session for the whole call: a reload cannot release
+  // the model under an in-flight forward.
+  const std::shared_ptr<const serve::InferenceSession> session =
+      registry_->Current();
+  for (Result<std::vector<int64_t>>& answer :
+       batcher_.AnswerAll(session.get())) {
+    answers_.push_back(std::move(answer));
+  }
 }
 
 void Server::ResolvePending(Connection* conn) {
   while (!conn->pending.empty()) {
-    PendingReply& front = conn->pending.front();
-    std::string reply;
-    if (!front.has_ticket) {
-      reply = std::move(front.immediate);
-    } else {
-      // The queue was pumped dry before this runs, so every submitted
-      // ticket is already delivered: Wait returns without blocking.
-      Result<std::vector<int64_t>> classes = front.ticket.Wait();
-      if (classes.ok()) {
-        reply = serve::FormatClassesReply(front.id, *classes);
-      } else if (classes.status().code() == StatusCode::kUnavailable) {
-        reply = serve::FormatOverloadedReply(front.id,
-                                             classes.status().message());
-      } else {
-        reply = serve::FormatErrorReply(front.id, classes.status().message());
-      }
-    }
-    conn->out += reply;
+    conn->out += serve::FormatReply(conn->pending.front(), answers_);
     conn->out += '\n';
     conn->pending.pop_front();
     if (conn->out.size() - conn->out_offset >

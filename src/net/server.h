@@ -46,9 +46,9 @@ struct ServerOptions {
   /// so a 1-byte-per-second trickle cannot hold a connection open.
   int64_t stall_timeout_ms = 0;
 
-  /// Queue-full reject and deadline-shed semantics are the batcher's
-  /// (DESIGN.md §10 degradation matrix) — they apply per request exactly as
-  /// in stdin mode.
+  /// Batch cap, queue-full reject and deadline shed for the loop's
+  /// batcher (DESIGN.md §10 degradation matrix). They apply per request
+  /// exactly as in stdin mode.
   serve::MicroBatcher::Options batcher;
 
   /// When false, {"reload": ...} admin requests are answered with an error
@@ -76,19 +76,19 @@ struct ServerStats {
 /// epoll-based multi-client JSONL inference server (DESIGN.md §14).
 ///
 /// One thread runs Serve(): it owns every socket, the LineFramer per
-/// connection, and the batcher pump, so the network layer needs no locks at
+/// connection, the batcher and the metrics, so the server needs no locks at
 /// all — concurrency lives in the kernel (epoll) and in the ParallelFor
 /// worker pool under each coalesced forward. Clients connect over TCP,
 /// write one JSONL request per line, and read one reply line per request,
-/// in order, per connection. Requests from concurrently readable
-/// connections coalesce into shared batches through the existing
-/// MicroBatcher, keeping its queue-full reject and deadline-shed semantics
-/// per request.
+/// in order, per connection. Each wakeup adds every query it read, from
+/// all readable connections, to the batcher and answers them in one
+/// AnswerAll call, keeping queue-full reject and deadline shed per request.
 ///
 /// Admin: {"reload": "path"} loads the checkpoint and atomically swaps it
 /// into the SessionRegistry; queries already received ahead of the reload
-/// are answered by the old session before the swap (the pump is flushed
-/// first), so every connection sees a clean old→new reply boundary.
+/// are answered by the old session before the swap (the batcher is
+/// answered first), so every connection sees a clean old→new reply
+/// boundary.
 ///
 /// Shutdown: RequestStop() (or a signal handler writing 'T' to wake_fd())
 /// stops accepting, answers everything already received, flushes every
@@ -128,20 +128,14 @@ class Server {
   const ServerStats& stats() const { return stats_; }
 
  private:
-  struct PendingReply {
-    bool has_ticket = false;
-    int64_t id = 0;
-    serve::MicroBatcher::Ticket ticket;
-    std::string immediate;  ///< pre-formatted reply (errors, reload acks)
-  };
-
   struct Connection {
     Connection(FdOwner socket, size_t max_line_bytes)
         : fd(std::move(socket)), framer(max_line_bytes) {}
 
     FdOwner fd;
     LineFramer framer;
-    std::deque<PendingReply> pending;  ///< replies owed, in request order
+    /// Replies owed, in request order. A query's `answer` indexes answers_.
+    std::deque<serve::PendingReply> pending;
     std::string out;                   ///< bytes owed to the socket
     size_t out_offset = 0;
     bool peer_eof = false;           ///< no more requests; close once idle
@@ -173,7 +167,9 @@ class Server {
   void HandleReadable(int fd);
   void ProcessLines(Connection* conn);
   void HandleLine(Connection* conn, const std::string& line);
-  void PumpQueue();
+  /// Answers everything the batcher holds against the current session and
+  /// appends the results to answers_.
+  void AnswerQueued();
   void ResolvePending(Connection* conn);
   void FlushWrites(Connection* conn);
   void UpdateInterest(Connection* conn);
@@ -192,6 +188,9 @@ class Server {
   const ServerOptions options_;
   serve::SessionRegistry* const registry_;
   serve::MicroBatcher batcher_;
+  /// Results of this loop iteration's AnswerAll calls, in Add order across
+  /// calls; emptied once every connection has taken its replies.
+  serve::Answers answers_;
 
   ListenSocket listener_;
   uint16_t port_ = 0;

@@ -2,46 +2,17 @@
 
 #include <utility>
 
-#include "src/serve/hot_swap.h"
+#include "src/serve/jsonl.h"
 
 namespace adpa::serve {
 
-struct MicroBatcher::Ticket::State {
-  Mutex mu;
-  CondVar cv;
-  bool done ADPA_GUARDED_BY(mu) = false;
-  std::optional<Result<std::vector<int64_t>>> result ADPA_GUARDED_BY(mu);
-};
+MicroBatcher::MicroBatcher(ServeMetrics* metrics)
+    : MicroBatcher(metrics, Options{}) {}
 
-Result<std::vector<int64_t>> MicroBatcher::Ticket::Wait() {
-  MutexLock lock(&state_->mu);
-  // analyze:allow(unchecked-status): CondVar::Wait is void, name-collides with Ticket::Wait
-  while (!state_->done) state_->cv.Wait(&state_->mu);
-  return *state_->result;
-}
+MicroBatcher::MicroBatcher(ServeMetrics* metrics, Options options)
+    : metrics_(metrics), options_(options) {}
 
-MicroBatcher::MicroBatcher(const InferenceSession* session,
-                           ServeMetrics* metrics)
-    : MicroBatcher(session, metrics, Options{}) {}
-
-MicroBatcher::MicroBatcher(const InferenceSession* session,
-                           ServeMetrics* metrics, Options options)
-    : session_(session),
-      registry_(nullptr),
-      metrics_(metrics),
-      options_(options) {}
-
-MicroBatcher::MicroBatcher(const SessionRegistry& registry,
-                           ServeMetrics* metrics, Options options)
-    : session_(nullptr),
-      registry_(&registry),
-      metrics_(metrics),
-      options_(options) {}
-
-MicroBatcher::Ticket MicroBatcher::Submit(std::vector<int64_t> nodes,
-                                          int64_t deadline_ms) {
-  Ticket ticket;
-  ticket.state_ = std::make_shared<Ticket::State>();
+int64_t MicroBatcher::Add(std::vector<int64_t> nodes, int64_t deadline_ms) {
   Request request;
   request.nodes = std::move(nodes);
   request.deadline_ms = deadline_ms;
@@ -49,163 +20,115 @@ MicroBatcher::Ticket MicroBatcher::Submit(std::vector<int64_t> nodes,
   // results.
   // lint:allow(deterministic-randomness)
   request.enqueue_time = std::chrono::steady_clock::now();
-  request.state = ticket.state_;
-  enum class Reject { kNone, kShutdown, kQueueFull };
-  Reject reject = Reject::kNone;
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) {
-      reject = Reject::kShutdown;
-    } else if (static_cast<int64_t>(queue_.size()) >=
-               options_.max_queue_depth) {
-      reject = Reject::kQueueFull;
-    } else {
-      queue_.push_back(std::move(request));
-      if (metrics_ != nullptr) {
-        metrics_->RecordQueueDepth(static_cast<int64_t>(queue_.size()));
-      }
-    }
+  if (queued_ >= options_.max_queue_depth) {
+    if (metrics_ != nullptr) metrics_->RecordRejected();
+    request.error = Status::Unavailable(
+        "queue full (" + std::to_string(options_.max_queue_depth) +
+        " requests pending); retry with backoff");
+  } else {
+    ++queued_;
+    if (metrics_ != nullptr) metrics_->RecordQueueDepth(queued_);
   }
-  switch (reject) {
-    case Reject::kNone:
-      cv_.NotifyOne();
-      break;
-    case Reject::kShutdown:
-      Deliver(&request, Status::FailedPrecondition("batcher is shut down"));
-      break;
-    case Reject::kQueueFull:
-      if (metrics_ != nullptr) metrics_->RecordRejected();
-      Deliver(&request,
-              Status::Unavailable(
-                  "queue full (" +
-                  std::to_string(options_.max_queue_depth) +
-                  " requests pending); retry with backoff"));
-      break;
-  }
-  return ticket;
+  requests_.push_back(std::move(request));
+  return static_cast<int64_t>(requests_.size()) - 1;
 }
 
-bool MicroBatcher::PumpOnce() {
-  std::vector<Request> batch;
-  std::vector<Request> shed;
-  {
-    MutexLock lock(&mu_);
-    // analyze:allow(unchecked-status): CondVar::Wait is void, name-collides with Ticket::Wait
-    while (!shutdown_ && queue_.empty()) cv_.Wait(&mu_);
-    if (queue_.empty()) return false;  // shut down and fully drained
+Answers MicroBatcher::AnswerAll(const InferenceSession* session) {
+  Answers answers;
+  answers.reserve(requests_.size());  // analyze:allow(alloc): one result per request, bounded by max_queue_depth
+  size_t begin = 0;
+  while (begin < requests_.size()) {
+    // One batch: [begin, end) holds its queries plus any requests between
+    // them that are answered without a forward.
     // lint:allow(deterministic-randomness) — deadline check, not results
     const auto now = std::chrono::steady_clock::now();
-    int64_t total_nodes = 0;
-    while (!queue_.empty()) {
-      Request& front = queue_.front();
-      if (front.deadline_ms > 0) {
-        const double waited_ms =
-            std::chrono::duration<double, std::milli>(now -
-                                                      front.enqueue_time)
-                .count();
-        if (waited_ms > static_cast<double>(front.deadline_ms)) {
-          // Past its deadline: serving it now would hand the client an
-          // answer it already gave up on — shed instead of serve stale.
-          shed.push_back(std::move(front));  // analyze:allow(alloc): shed list is bounded by queue depth
-          queue_.pop_front();
-          continue;
-        }
+    merged_.clear();
+    int64_t batch_requests = 0;
+    size_t end = begin;
+    for (; end < requests_.size(); ++end) {
+      Request& request = requests_[end];
+      if (!request.error.ok()) continue;  // rejected at Add
+      if (request.deadline_ms > 0 &&
+          std::chrono::duration<double, std::milli>(now -
+                                                    request.enqueue_time)
+                  .count() > static_cast<double>(request.deadline_ms)) {
+        // Past its deadline: serving it now would hand the client an
+        // answer it already gave up on — shed instead of serve stale.
+        if (metrics_ != nullptr) metrics_->RecordShed();
+        request.error = Status::Unavailable(
+            "deadline exceeded after " +
+            std::to_string(request.deadline_ms) +  // analyze:allow(alloc): error path only
+            " ms in queue; retry with backoff");
+        continue;
       }
-      const int64_t request_nodes = static_cast<int64_t>(front.nodes.size());
-      if (!batch.empty() &&
-          total_nodes + request_nodes > options_.max_batch_nodes) {
+      const int64_t request_nodes = static_cast<int64_t>(request.nodes.size());
+      if (batch_requests > 0 &&
+          static_cast<int64_t>(merged_.size()) + request_nodes >
+              options_.max_batch_nodes) {
         break;
       }
-      total_nodes += request_nodes;
-      batch.push_back(std::move(front));  // analyze:allow(alloc): batch assembly, bounded by max_batch_nodes
-      queue_.pop_front();
+      if (session == nullptr) {
+        request.error = Status::FailedPrecondition(
+            "no model is loaded yet; reload a checkpoint");
+        continue;
+      }
+      merged_.insert(merged_.end(), request.nodes.begin(), request.nodes.end());  // analyze:allow(alloc): reused buffer, bounded by max_batch_nodes
+      ++batch_requests;
     }
-  }
 
-  for (Request& request : shed) {
-    if (metrics_ != nullptr) metrics_->RecordShed();
-    Deliver(&request,
-            Status::Unavailable("deadline exceeded after " +
-                                std::to_string(request.deadline_ms) +  // analyze:allow(alloc): error path only
-                                " ms in queue; retry with backoff"));
-  }
-  if (batch.empty()) return true;  // everything pending was shed
-
-  // Resolve and pin the serving session for this whole batch: with a
-  // registry, a hot checkpoint swap landing mid-forward cannot release the
-  // model under us — the shared_ptr keeps the old session alive until every
-  // reply of this batch is delivered.
-  std::shared_ptr<const InferenceSession> pinned;
-  const InferenceSession* session = session_;
-  if (registry_ != nullptr) {
-    pinned = registry_->Current();
-    session = pinned.get();
-  }
-  if (session == nullptr) {
-    for (Request& request : batch) {
-      Deliver(&request, Status::FailedPrecondition(
-                            "no model is loaded yet; reload a checkpoint"));
+    Result<std::vector<int64_t>> all = std::vector<int64_t>{};
+    if (batch_requests > 0) {
+      if (metrics_ != nullptr) metrics_->RecordBatch(batch_requests);
+      all = session->Classify(merged_);
     }
-    return true;
+    size_t offset = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Request& request = requests_[i];
+      if (!request.error.ok()) {
+        Deliver(request, request.error, &answers);
+      } else if (all.ok()) {
+        const auto first = all->begin() + static_cast<int64_t>(offset);
+        offset += request.nodes.size();
+        Deliver(request,
+                std::vector<int64_t>(
+                    first, first + static_cast<int64_t>(request.nodes.size())),
+                &answers);
+      } else {
+        // One malformed request must not poison its batch mates: fall back
+        // to answering each request on its own so errors stay per-request.
+        Deliver(request, session->Classify(request.nodes), &answers);
+      }
+    }
+    begin = end;
   }
+  requests_.clear();
+  queued_ = 0;
+  return answers;
+}
 
-  std::vector<int64_t> merged;
-  for (const Request& request : batch) {
-    merged.insert(merged.end(), request.nodes.begin(), request.nodes.end());  // analyze:allow(alloc): coalesced id list, bounded by max_batch_nodes
-  }
+void MicroBatcher::Deliver(const Request& request,
+                           Result<std::vector<int64_t>> result,
+                           Answers* answers) {
   if (metrics_ != nullptr) {
-    metrics_->RecordBatch(static_cast<int64_t>(batch.size()));
+    // lint:allow(deterministic-randomness) — latency metric, not results
+    const auto now = std::chrono::steady_clock::now();
+    metrics_->RecordRequest(
+        std::chrono::duration<double, std::milli>(now - request.enqueue_time)
+            .count(),
+        result.ok() ? static_cast<int64_t>(result->size()) : 0, result.ok());
   }
-  Result<std::vector<int64_t>> all = session->Classify(merged);
-  size_t offset = 0;
-  for (Request& request : batch) {
-    if (all.ok()) {
-      std::vector<int64_t> slice(
-          all->begin() + static_cast<int64_t>(offset),
-          all->begin() + static_cast<int64_t>(offset + request.nodes.size()));
-      offset += request.nodes.size();
-      Deliver(&request, std::move(slice));
-    } else {
-      // One malformed request must not poison its batch mates: fall back
-      // to answering each request on its own so errors stay per-request.
-      Deliver(&request, session->Classify(request.nodes));
-    }
-  }
-  return true;
+  answers->push_back(std::move(result));  // analyze:allow(alloc): capacity reserved by AnswerAll
 }
 
-void MicroBatcher::Shutdown() {
-  {
-    MutexLock lock(&mu_);
-    shutdown_ = true;
+std::string FormatReply(const PendingReply& pending, const Answers& answers) {
+  if (pending.answer < 0) return pending.immediate;
+  const Result<std::vector<int64_t>>& answer =
+      answers[static_cast<size_t>(pending.answer)];
+  if (answer.ok()) return FormatClassesReply(pending.id, *answer);
+  if (answer.status().code() == StatusCode::kUnavailable) {
+    return FormatOverloadedReply(pending.id, answer.status().message());
   }
-  cv_.NotifyAll();
-}
-
-int64_t MicroBatcher::queue_depth() const {
-  MutexLock lock(&mu_);
-  return static_cast<int64_t>(queue_.size());
-}
-
-void MicroBatcher::Deliver(Request* request,
-                           Result<std::vector<int64_t>> result) {
-  // lint:allow(deterministic-randomness) — latency metric, not results
-  const auto now = std::chrono::steady_clock::now();
-  const double latency_ms =
-      std::chrono::duration<double, std::milli>(now - request->enqueue_time)
-          .count();
-  const bool ok = result.ok();
-  const int64_t nodes_answered =
-      ok ? static_cast<int64_t>(result->size()) : 0;
-  {
-    MutexLock lock(&request->state->mu);
-    request->state->result = std::move(result);
-    request->state->done = true;
-  }
-  request->state->cv.NotifyAll();
-  if (metrics_ != nullptr) {
-    metrics_->RecordRequest(latency_ms, nodes_answered, ok);
-  }
+  return FormatErrorReply(pending.id, answer.status().message());
 }
 
 }  // namespace adpa::serve

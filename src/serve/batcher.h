@@ -1,12 +1,9 @@
 #pragma once
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
-#include "src/core/mutex.h"
 #include "src/core/status.h"
 #include "src/core/thread_annotations.h"
 #include "src/serve/engine.h"
@@ -14,17 +11,18 @@
 
 namespace adpa::serve {
 
-class SessionRegistry;
+/// One result per request of an AnswerAll call, in Add order.
+using Answers = std::vector<Result<std::vector<int64_t>>>;
 
-/// Micro-batching request queue in front of an InferenceSession.
+/// Micro-batching request queue in front of an InferenceSession, owned by
+/// the one thread that runs a serving loop (the TCP event loop, the stdin
+/// loop, a benchmark). It has no locks: nothing else ever touches it.
 ///
-/// Concurrent clients call `Submit` (thread-safe, returns a Ticket) and
-/// block on `Ticket::Wait`. A single pump thread — the caller who loops on
-/// `PumpOnce` — coalesces everything pending into one `Classify` call, so
-/// concurrent point queries share a single forward pass whose kernels
-/// fan out across the ParallelFor worker pool. The batcher itself spawns no
-/// threads (src/ bans raw std::thread); whoever owns the serving loop
-/// provides the pump.
+/// The loop `Add`s every request it has read, then makes one `AnswerAll`
+/// call against the session it serves from. That call coalesces the queue
+/// into as few `Classify` calls as `max_batch_nodes` allows, so point
+/// queries share a forward whose kernels fan out across the ParallelFor
+/// worker pool, and returns one result per request in `Add` order.
 ///
 /// Batching never changes answers: ForwardRows is row-wise, so a node's
 /// logits are bitwise identical no matter which batch it lands in.
@@ -34,82 +32,65 @@ class MicroBatcher {
     /// Soft cap on nodes per coalesced forward; a single larger request
     /// still runs alone rather than being split.
     int64_t max_batch_nodes = 4096;
-    /// Hard ceiling on queued requests. A Submit against a full queue is
-    /// rejected with kUnavailable (counted in ServeMetrics::rejected) —
+    /// Hard ceiling on queued requests. An Add against a full queue is
+    /// answered with kUnavailable (counted in ServeMetrics::rejected) —
     /// bounded memory under overload, and clients get a retryable error
     /// instead of unbounded latency.
     int64_t max_queue_depth = 4096;
   };
 
-  /// A client-side handle for one submitted request.
-  class Ticket {
-   public:
-    /// Blocks until the pump answers; returns the predicted class per
-    /// queried node, or the per-request error.
-    Result<std::vector<int64_t>> Wait();
+  /// `metrics` must outlive the batcher; it may be null.
+  explicit MicroBatcher(ServeMetrics* metrics);
+  MicroBatcher(ServeMetrics* metrics, Options options);
 
-   private:
-    friend class MicroBatcher;
-    struct State;
-    std::shared_ptr<State> state_;
-  };
+  /// Queues a request and returns its index into the next AnswerAll
+  /// result. Against a full queue the request is answered kUnavailable.
+  /// `deadline_ms` > 0 bounds the queue wait: a request older than that
+  /// when its batch forms is shed with a kUnavailable error instead of
+  /// being served stale (0 = no deadline).
+  int64_t Add(std::vector<int64_t> nodes, int64_t deadline_ms = 0);
 
-  /// `session` and `metrics` must outlive the batcher; `metrics` may be
-  /// null.
-  MicroBatcher(const InferenceSession* session, ServeMetrics* metrics);
-  MicroBatcher(const InferenceSession* session, ServeMetrics* metrics,
-               Options options);
-
-  /// Hot-swap form: each pump resolves the serving session through
-  /// `registry` at batch-formation time and pins it (shared_ptr) for the
-  /// whole batch — an in-flight batch finishes on the session it started
-  /// with even if a reload flips the registry mid-forward. `registry` must
-  /// outlive the batcher.
-  MicroBatcher(const SessionRegistry& registry, ServeMetrics* metrics,
-               Options options);
-
-  /// Enqueues a request. Thread-safe. After Shutdown, tickets resolve to
-  /// FailedPrecondition instead of being silently dropped; against a full
-  /// queue they resolve to kUnavailable. `deadline_ms` > 0 bounds the queue
-  /// wait: a request still unpumped after that long is shed with a
-  /// kUnavailable error instead of being served stale (0 = no deadline).
-  Ticket Submit(std::vector<int64_t> nodes, int64_t deadline_ms = 0)
-      ADPA_EXCLUDES(mu_);
-
-  /// Blocks until at least one request is pending (or shutdown), coalesces
-  /// the queue into one forward, and delivers every reply. Returns false
-  /// once shut down with an empty queue — the pump loop's exit condition.
-  ADPA_HOT bool PumpOnce() ADPA_EXCLUDES(mu_);
-
-  /// Wakes the pump and fails all future Submits. Idempotent.
-  void Shutdown() ADPA_EXCLUDES(mu_);
-
-  /// Requests currently waiting (diagnostics; racy by nature).
-  int64_t queue_depth() const ADPA_EXCLUDES(mu_);
+  /// Answers every request added since the last call and empties the
+  /// queue. A null `session` (a registry with no model loaded yet) answers
+  /// each query with FailedPrecondition. The caller keeps `session` alive
+  /// for the call, which is what pins one model across a hot swap.
+  ADPA_HOT Answers AnswerAll(const InferenceSession* session);
 
  private:
   struct Request {
     std::vector<int64_t> nodes;
     int64_t deadline_ms = 0;  ///< 0 = no deadline
     std::chrono::steady_clock::time_point enqueue_time;
-    std::shared_ptr<Ticket::State> state;
+    /// Non-OK once the request is answered without a forward: rejected at
+    /// Add, shed past its deadline, or no session to serve it.
+    Status error;
   };
 
-  void Deliver(Request* request, Result<std::vector<int64_t>> result)
-      ADPA_EXCLUDES(mu_);
+  /// Records the request's latency and outcome, and appends its result.
+  void Deliver(const Request& request, Result<std::vector<int64_t>> result,
+               Answers* answers);
 
-  /// Session/registry/metrics/options are set at construction and never
-  /// reassigned; const-ness is what makes their lock-free reads provably
-  /// safe. Exactly one of session_/registry_ is non-null.
-  const InferenceSession* const session_;
-  const SessionRegistry* const registry_;
   ServeMetrics* const metrics_;
   const Options options_;
-
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::deque<Request> queue_ ADPA_GUARDED_BY(mu_);
-  bool shutdown_ ADPA_GUARDED_BY(mu_) = false;
+  std::vector<Request> requests_;  ///< every Add since the last AnswerAll
+  int64_t queued_ = 0;             ///< requests_ not rejected at Add
+  std::vector<int64_t> merged_;    ///< coalesced node ids, reused per batch
 };
+
+/// A reply a serving loop owes its client, held in request order until the
+/// batch it waits on is answered.
+struct PendingReply {
+  int64_t id = 0;
+  /// The query's Add index, or -1 when `immediate` already is the reply
+  /// (parse errors, admin replies).
+  int64_t answer = -1;
+  std::string immediate;
+};
+
+/// The reply line owed for `pending` (no trailing newline): `immediate`, or
+/// its answer formatted as classes, as the overloaded shape (kUnavailable:
+/// queue full or deadline shed), or as an error. Both serving loops
+/// format every reply through here.
+std::string FormatReply(const PendingReply& pending, const Answers& answers);
 
 }  // namespace adpa::serve

@@ -56,9 +56,10 @@ Matrix* LinearForward(const Matrix& x, const Matrix& weight,
   return out;
 }
 
-/// Per-thread forward scratch. The micro-batcher pumps batches on the
-/// submitting thread, so each serving thread owns one workspace plus the
-/// reusable view vectors, and steady-state forwards never allocate.
+/// Per-thread forward scratch. A serving loop runs every forward of its
+/// batcher on its own thread, so each serving thread owns one workspace
+/// plus the reusable view vectors, and steady-state forwards never
+/// allocate.
 struct ForwardScratch {
   Workspace ws;
   std::vector<std::vector<const Matrix*>> block_views;

@@ -18,7 +18,6 @@ uint64_t NextRandom(uint64_t* state) {
 
 void ServeMetrics::RecordRequest(double latency_ms, int64_t nodes_answered,
                                  bool ok) {
-  MutexLock lock(&mu_);
   ++requests_;
   if (!ok) ++errors_;
   nodes_ += static_cast<uint64_t>(nodes_answered);
@@ -38,28 +37,23 @@ void ServeMetrics::RecordRequest(double latency_ms, int64_t nodes_answered,
 }
 
 void ServeMetrics::RecordBatch(int64_t coalesced_requests) {
-  MutexLock lock(&mu_);
   ++batches_;
   batched_requests_ += static_cast<uint64_t>(coalesced_requests);
 }
 
 void ServeMetrics::RecordQueueDepth(int64_t depth) {
-  MutexLock lock(&mu_);
   max_queue_depth_ = std::max(max_queue_depth_, depth);
 }
 
 void ServeMetrics::RecordRejected() {
-  MutexLock lock(&mu_);
   ++rejected_;
 }
 
 void ServeMetrics::RecordShed() {
-  MutexLock lock(&mu_);
   ++shed_;
 }
 
 MetricsSnapshot ServeMetrics::Snapshot() const {
-  MutexLock lock(&mu_);
   MetricsSnapshot snapshot;
   snapshot.requests = requests_;
   snapshot.errors = errors_;

@@ -1,8 +1,8 @@
 // Serving subsystem tests: the no-tape InferenceSession must be bitwise
 // identical to the training model's eval forward for every DP-attention
 // variant and ablation; batched/subset queries must match full forwards;
-// the micro-batcher must answer concurrent clients correctly; the JSON
-// lines codec must accept exactly the request schema.
+// the micro-batcher must coalesce queued requests without changing any
+// answer; the JSON lines codec must accept exactly the request schema.
 
 #include <chrono>
 #include <cstdio>
@@ -179,82 +179,122 @@ TEST(InferenceSessionTest, PropagationCacheHitReproducesResults) {
   EXPECT_TRUE(BitwiseEqual(second.ForwardAll(), fixture.eval_logits));
 }
 
-TEST(MicroBatcherTest, CoalescesConcurrentClientsWithoutChangingAnswers) {
-  SessionFixture fixture(SmallConfig());
-  serve::InferenceSession session = fixture.Session();
-  serve::ServeMetrics metrics;
-  serve::MicroBatcher batcher(&session, &metrics);
-
-  // Ground truth, computed without the batcher.
-  const std::vector<std::vector<int64_t>> queries = {
-      {0, 1, 2}, {3}, {4, 5}, {6, 7, 8, 9}, {10}, {11, 12},
-      {13}, {14, 15}, {16, 17, 18}, {19}, {0, 19}, {7}};
+/// Ground truth for batcher tests: each query classified on its own.
+std::vector<std::vector<int64_t>> ClassifyEach(
+    const serve::InferenceSession& session,
+    const std::vector<std::vector<int64_t>>& queries) {
   std::vector<std::vector<int64_t>> expected;
   for (const auto& nodes : queries) {
     expected.push_back(std::move(session.Classify(nodes)).value());
   }
+  return expected;
+}
 
-  std::thread pump([&batcher] {
-    while (batcher.PumpOnce()) {
-    }
-  });
-
-  constexpr int kClients = 4;
-  std::vector<std::vector<int>> mismatches(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t q = static_cast<size_t>(c); q < queries.size();
-           q += kClients) {
-        Result<std::vector<int64_t>> got = batcher.Submit(queries[q]).Wait();
-        if (!got.ok() || *got != expected[q]) {
-          mismatches[c].push_back(static_cast<int>(q));
-        }
-      }
-    });
+/// Adds every query, answers them in one call, and checks the answers
+/// against `expected`.
+void ExpectAnswers(serve::MicroBatcher* batcher,
+                   const serve::InferenceSession& session,
+                   const std::vector<std::vector<int64_t>>& queries,
+                   const std::vector<std::vector<int64_t>>& expected) {
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(batcher->Add(queries[q]), static_cast<int64_t>(q));
   }
-  for (auto& client : clients) client.join();
-  batcher.Shutdown();
-  pump.join();
-
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_TRUE(mismatches[c].empty())
-        << "client " << c << " got wrong answers";
+  const serve::Answers answers = batcher->AnswerAll(&session);
+  ASSERT_EQ(answers.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(answers[q].ok()) << "query " << q;
+    EXPECT_EQ(*answers[q], expected[q]) << "query " << q;
   }
+}
+
+TEST(MicroBatcherTest, CoalescesConcurrentClientsWithoutChangingAnswers) {
+  SessionFixture fixture(SmallConfig());
+  serve::InferenceSession session = fixture.Session();
+  serve::ServeMetrics metrics;
+  serve::MicroBatcher batcher(&metrics);
+
+  // Four clients' queries interleave in arrival order, as the event loop
+  // adds them when several connections are readable in one wakeup. Two
+  // such wakeups, six queries each.
+  const std::vector<std::vector<int64_t>> queries = {
+      {0, 1, 2}, {3}, {4, 5}, {6, 7, 8, 9}, {10}, {11, 12},
+      {13}, {14, 15}, {16, 17, 18}, {19}, {0, 19}, {7}};
+  const std::vector<std::vector<int64_t>> expected =
+      ClassifyEach(session, queries);
+  for (size_t wave = 0; wave < 2; ++wave) {
+    const auto from = static_cast<std::ptrdiff_t>(wave * 6);
+    ExpectAnswers(
+        &batcher, session,
+        {queries.begin() + from, queries.begin() + from + 6},
+        {expected.begin() + from, expected.begin() + from + 6});
+  }
+
+  const serve::MetricsSnapshot snapshot = metrics.Snapshot();
+  uint64_t total_nodes = 0;
+  for (const auto& nodes : queries) total_nodes += nodes.size();
+  EXPECT_EQ(snapshot.requests, queries.size());
+  EXPECT_EQ(snapshot.errors, 0u);
+  EXPECT_EQ(snapshot.nodes, total_nodes);
+  EXPECT_EQ(snapshot.batches, 2u) << "one forward per wakeup";
+  EXPECT_EQ(snapshot.mean_batch_requests, 6.0);
+  EXPECT_EQ(snapshot.max_queue_depth, 6) << "the queue empties per call";
+}
+
+TEST(MicroBatcherTest, MaxBatchNodesSplitsTheQueueWithoutChangingAnswers) {
+  SessionFixture fixture(SmallConfig());
+  serve::InferenceSession session = fixture.Session();
+  serve::ServeMetrics metrics;
+  serve::MicroBatcher::Options options;
+  options.max_batch_nodes = 4;
+  serve::MicroBatcher batcher(&metrics, options);
+
+  // Greedy in Add order under a 4-node cap: {0,1,2}+{3} | {4,5} |
+  // {6,7,8,9} | {10}+{11,12}.
+  const std::vector<std::vector<int64_t>> queries = {
+      {0, 1, 2}, {3}, {4, 5}, {6, 7, 8, 9}, {10}, {11, 12}};
+  ExpectAnswers(&batcher, session, queries, ClassifyEach(session, queries));
+
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.requests, queries.size());
   EXPECT_EQ(snapshot.errors, 0u);
-  uint64_t total_nodes = 0;
-  for (const auto& nodes : queries) total_nodes += nodes.size();
-  EXPECT_EQ(snapshot.nodes, total_nodes);
-  EXPECT_GE(snapshot.batches, 1u);
-  EXPECT_LE(snapshot.batches, snapshot.requests);
-  EXPECT_GE(snapshot.max_queue_depth, 1);
+  EXPECT_EQ(snapshot.nodes, 13u);
+  EXPECT_EQ(snapshot.batches, 4u);
+}
+
+TEST(MicroBatcherTest, RequestLargerThanTheCapStillRunsAlone) {
+  SessionFixture fixture(SmallConfig());
+  serve::InferenceSession session = fixture.Session();
+  serve::ServeMetrics metrics;
+  serve::MicroBatcher::Options options;
+  options.max_batch_nodes = 2;
+  serve::MicroBatcher batcher(&metrics, options);
+
+  // The 5-node request exceeds the cap on its own: it is neither split nor
+  // refused, it gets a forward to itself.
+  const std::vector<std::vector<int64_t>> queries = {
+      {0}, {1, 2, 3, 4, 5}, {6}};
+  ExpectAnswers(&batcher, session, queries, ClassifyEach(session, queries));
+
+  const serve::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.requests, 3u);
+  EXPECT_EQ(snapshot.nodes, 7u);
+  EXPECT_EQ(snapshot.batches, 3u);
+  EXPECT_EQ(snapshot.mean_batch_requests, 1.0);
 }
 
 TEST(MicroBatcherTest, ErrorsStayPerRequest) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
-  serve::MicroBatcher batcher(&session, nullptr);
-  auto good = batcher.Submit({0, 1});
-  auto bad = batcher.Submit({session.num_nodes() + 5});
-  auto also_good = batcher.Submit({2});
-  while (batcher.queue_depth() > 0) batcher.PumpOnce();
-  EXPECT_TRUE(good.Wait().ok());
-  EXPECT_FALSE(bad.Wait().ok());
-  EXPECT_TRUE(also_good.Wait().ok())
+  serve::MicroBatcher batcher(/*metrics=*/nullptr);
+  batcher.Add({0, 1});
+  batcher.Add({session.num_nodes() + 5});
+  batcher.Add({2});
+  const serve::Answers answers = batcher.AnswerAll(&session);
+  ASSERT_EQ(answers.size(), 3u);
+  EXPECT_TRUE(answers[0].ok());
+  EXPECT_FALSE(answers[1].ok());
+  EXPECT_TRUE(answers[2].ok())
       << "a bad batch mate must not poison this request";
-}
-
-TEST(MicroBatcherTest, ShutdownFailsLateSubmitsInsteadOfHanging) {
-  SessionFixture fixture(SmallConfig());
-  serve::InferenceSession session = fixture.Session();
-  serve::MicroBatcher batcher(&session, nullptr);
-  batcher.Shutdown();
-  Result<std::vector<int64_t>> late = batcher.Submit({0}).Wait();
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(batcher.PumpOnce());
 }
 
 TEST(MicroBatcherTest, FullQueueRejectsWithRetryableOverloadError) {
@@ -263,59 +303,90 @@ TEST(MicroBatcherTest, FullQueueRejectsWithRetryableOverloadError) {
   serve::ServeMetrics metrics;
   serve::MicroBatcher::Options options;
   options.max_queue_depth = 1;
-  serve::MicroBatcher batcher(&session, &metrics, options);
+  serve::MicroBatcher batcher(&metrics, options);
 
-  auto accepted = batcher.Submit({0});
-  auto rejected = batcher.Submit({1});  // queue already at its ceiling
-  Result<std::vector<int64_t>> overflow = rejected.Wait();
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kUnavailable)
-      << "queue-full must be the retryable overload code, got "
-      << overflow.status().ToString();
-  EXPECT_NE(overflow.status().message().find("queue full"),
-            std::string::npos);
-
-  while (batcher.queue_depth() > 0) batcher.PumpOnce();
-  EXPECT_TRUE(accepted.Wait().ok())
+  batcher.Add({0});
+  batcher.Add({1});  // queue already at its ceiling
+  const serve::Answers answers = batcher.AnswerAll(&session);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_TRUE(answers[0].ok())
       << "the request that made it into the queue must still be served";
+  ASSERT_FALSE(answers[1].ok());
+  EXPECT_EQ(answers[1].status().code(), StatusCode::kUnavailable)
+      << "queue-full must be the retryable overload code, got "
+      << answers[1].status().ToString();
+  EXPECT_EQ(answers[1].status().message(),
+            "queue full (1 requests pending); retry with backoff");
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.rejected, 1u);
   EXPECT_EQ(snapshot.shed, 0u);
+  EXPECT_EQ(snapshot.requests, 2u);
+  EXPECT_EQ(snapshot.errors, 1u);
+
+  // Answering empties the queue, so the next request fits again.
+  batcher.Add({1});
+  EXPECT_TRUE(batcher.AnswerAll(&session)[0].ok());
 }
 
 TEST(MicroBatcherTest, ExpiredDeadlineShedsInsteadOfServingStale) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
   serve::ServeMetrics metrics;
-  serve::MicroBatcher batcher(&session, &metrics);
+  serve::MicroBatcher batcher(&metrics);
 
-  auto doomed = batcher.Submit({0, 1}, /*deadline_ms=*/1);
-  auto patient = batcher.Submit({2}, /*deadline_ms=*/600000);
-  auto forever = batcher.Submit({3});  // 0 = no deadline
+  batcher.Add({0, 1}, /*deadline_ms=*/1);
+  batcher.Add({2}, /*deadline_ms=*/600000);
+  batcher.Add({3});  // 0 = no deadline
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  while (batcher.queue_depth() > 0) batcher.PumpOnce();
+  const serve::Answers answers = batcher.AnswerAll(&session);
 
-  Result<std::vector<int64_t>> shed = doomed.Wait();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(shed.status().message().find("deadline"), std::string::npos);
-  EXPECT_TRUE(patient.Wait().ok());
-  EXPECT_TRUE(forever.Wait().ok());
+  ASSERT_EQ(answers.size(), 3u);
+  ASSERT_FALSE(answers[0].ok());
+  EXPECT_EQ(answers[0].status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(answers[0].status().message(),
+            "deadline exceeded after 1 ms in queue; retry with backoff");
+  EXPECT_TRUE(answers[1].ok());
+  EXPECT_TRUE(answers[2].ok());
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.shed, 1u);
   EXPECT_EQ(snapshot.rejected, 0u);
 }
 
-TEST(MicroBatcherTest, PumpReturnsTrueWhenEverythingPendingWasShed) {
-  // A pump round that sheds its whole queue must report "keep pumping",
-  // not "drained and shut down".
+TEST(MicroBatcherTest, AllShedQueueStillAnswersEveryRequest) {
+  // A call that sheds its whole queue runs no forward but still returns a
+  // result for every request, and leaves the batcher empty.
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
-  serve::MicroBatcher batcher(&session, nullptr);
-  auto doomed = batcher.Submit({0}, /*deadline_ms=*/1);
+  serve::ServeMetrics metrics;
+  serve::MicroBatcher batcher(&metrics);
+  batcher.Add({0}, /*deadline_ms=*/1);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(batcher.PumpOnce());
-  EXPECT_FALSE(doomed.Wait().ok());
+  const serve::Answers answers = batcher.AnswerAll(&session);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_FALSE(answers[0].ok());
+  EXPECT_EQ(metrics.Snapshot().batches, 0u);
+  EXPECT_TRUE(batcher.AnswerAll(&session).empty());
+}
+
+TEST(MicroBatcherTest, FormatReplyPicksTheShapeFromTheAnswer) {
+  const serve::Answers answers = {
+      std::vector<int64_t>{1, 0},
+      Status::Unavailable("queue full"),
+      Status::OutOfRange("node 99 out of range")};
+  serve::PendingReply reply;
+  reply.id = 4;
+  reply.answer = 0;
+  EXPECT_EQ(serve::FormatReply(reply, answers),
+            serve::FormatClassesReply(4, {1, 0}));
+  reply.answer = 1;
+  EXPECT_EQ(serve::FormatReply(reply, answers),
+            serve::FormatOverloadedReply(4, "queue full"));
+  reply.answer = 2;
+  EXPECT_EQ(serve::FormatReply(reply, answers),
+            serve::FormatErrorReply(4, "node 99 out of range"));
+  serve::PendingReply immediate;
+  immediate.immediate = serve::FormatErrorReply(-1, "bad line");
+  EXPECT_EQ(serve::FormatReply(immediate, answers), immediate.immediate);
 }
 
 TEST(ServeMetricsTest, LatencyMemoryIsBoundedButStatsStayRepresentative) {

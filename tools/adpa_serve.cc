@@ -13,8 +13,15 @@
 // shedding counters) to stderr, keeping stdout byte-stable for golden
 // comparisons.
 //
+// Stdin mode reads up to --batch_lines lines with a blocking reader, adds
+// their queries to a single-owner serve::MicroBatcher, answers them in one
+// AnswerAll call, and formats each reply with serve::FormatReply — the
+// same request-to-reply path the TCP event loop runs per wakeup. The
+// reader stays blocking rather than epoll-driven because stdin may be a
+// regular file (`< queries.jsonl`), which epoll cannot register.
+//
 // Shutdown: SIGTERM/SIGINT switch the server to draining — it stops
-// reading stdin, answers every request already submitted, flushes stdout,
+// reading stdin, answers every request already read, flushes stdout,
 // and exits 0. SIGPIPE is ignored so a vanished reader surfaces as a
 // write error instead of killing the process.
 //
@@ -39,11 +46,12 @@
 //   --in=F                the dataset the model was trained on (required)
 //   --undirect            mirror the training run's --undirect
 //   --cache=F             sidecar file for the Eq. 9 propagation precompute
-//   --batch_lines=N       stdin lines submitted before pumping (default 1;
-//                         raise to coalesce pipelined queries per forward)
+//   --batch_lines=N       stdin lines read before each batch is answered
+//                         (default 1; raise to coalesce pipelined queries
+//                         per forward)
 //   --max_batch_nodes=N   node cap per coalesced forward (default 4096)
-//   --max_queue_depth=N   pending-request ceiling before Submit is rejected
-//                         with "overloaded" (default 4096)
+//   --max_queue_depth=N   pending-request ceiling; requests past it are
+//                         answered "overloaded" (default 4096)
 //   --threads=N           kernel thread count (0 = auto)
 //   --simd_level=<portable|avx2|avx512>
 //                         pin the kernel dispatch level (default: fastest
@@ -339,24 +347,18 @@ int Main(int argc, char** argv) {
   serve::MicroBatcher::Options batcher_options;
   batcher_options.max_batch_nodes = flags.GetInt("max_batch_nodes", 4096);
   batcher_options.max_queue_depth = flags.GetInt("max_queue_depth", 4096);
-  serve::MicroBatcher batcher(&*session, &metrics, batcher_options);
+  serve::MicroBatcher batcher(&metrics, batcher_options);
   const int64_t batch_lines = std::max<int64_t>(1, flags.GetInt("batch_lines", 1));
 
   const auto serve_start = std::chrono::steady_clock::now();
-  // One in-order reply slot per request: either an already-formatted error
-  // (parse failures) or a ticket awaiting the pump.
-  struct Slot {
-    std::string error_reply;
-    int64_t id = 0;
-    bool has_ticket = false;
-    serve::MicroBatcher::Ticket ticket;
-  };
   StdinLineReader reader;
   std::string line;
   bool at_eof = false;
   while (!at_eof) {
-    std::vector<Slot> slots;
-    while (static_cast<int64_t>(slots.size()) < batch_lines) {
+    // The same request-to-reply path as the TCP server: parse each line,
+    // Add its query, answer the batch, format every reply in order.
+    std::vector<serve::PendingReply> pending;
+    while (static_cast<int64_t>(pending.size()) < batch_lines) {
       if (g_shutdown_signal != 0) {
         at_eof = true;
         break;
@@ -367,45 +369,28 @@ int Main(int argc, char** argv) {
         break;
       }
       if (line.empty()) continue;
-      Slot slot;
+      serve::PendingReply reply;
       Result<serve::ServeRequest> request = serve::ParseRequestLine(line);
       if (!request.ok()) {
-        slot.error_reply =
+        reply.immediate =
             serve::FormatErrorReply(-1, request.status().message());
       } else if (request->is_reload) {
-        slot.error_reply = serve::FormatErrorReply(
+        reply.immediate = serve::FormatErrorReply(
             request->id, "reload requires --listen mode");
       } else {
-        slot.id = request->id;
-        slot.has_ticket = true;
-        slot.ticket =
-            batcher.Submit(std::move(request->nodes), request->deadline_ms);
+        reply.id = request->id;
+        reply.answer =
+            batcher.Add(std::move(request->nodes), request->deadline_ms);
       }
-      slots.push_back(std::move(slot));
+      pending.push_back(std::move(reply));
     }
-    while (batcher.queue_depth() > 0) batcher.PumpOnce();
-    for (Slot& slot : slots) {
-      std::string reply;
-      if (!slot.has_ticket) {
-        reply = std::move(slot.error_reply);
-      } else {
-        Result<std::vector<int64_t>> classes = slot.ticket.Wait();
-        if (classes.ok()) {
-          reply = serve::FormatClassesReply(slot.id, *classes);
-        } else if (classes.status().code() == StatusCode::kUnavailable) {
-          reply = serve::FormatOverloadedReply(slot.id,
-                                               classes.status().message());
-        } else {
-          reply =
-              serve::FormatErrorReply(slot.id, classes.status().message());
-        }
-      }
-      std::fputs(reply.c_str(), stdout);
+    const serve::Answers answers = batcher.AnswerAll(&*session);
+    for (const serve::PendingReply& reply : pending) {
+      std::fputs(serve::FormatReply(reply, answers).c_str(), stdout);
       std::fputc('\n', stdout);
     }
     std::fflush(stdout);
   }
-  batcher.Shutdown();
   if (g_shutdown_signal != 0) {
     std::fprintf(stderr,
                  "draining: received signal %d; in-flight requests "

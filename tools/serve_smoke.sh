@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end serving smoke test: generate a registry benchmark, train a
 # small ADPA model, persist it (src/io/checkpoint.h), serve 100 JSON-lines
-# queries through adpa_serve's micro-batching path, and byte-diff the
-# replies against the checked-in golden file. The query set includes one
+# queries through adpa_serve's micro-batching path twice (batched from a
+# regular file, one line at a time from a pipe), and byte-diff both reply
+# streams against the checked-in golden file. The query set includes one
 # malformed line and one out-of-range node, so the parse-error and
 # per-request-error paths are covered too.
 #
@@ -42,14 +43,25 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" generate --name=Texas --seed=7 --out="$WORK/texas.txt" > /dev/null
 "$CLI" train --in="$WORK/texas.txt" --model=ADPA --seed=42 --epochs=30 \
   --save_checkpoint="$WORK/model.ckpt" > /dev/null
+# Two runs against the same golden: eight lines per batch read from a
+# regular file, and one line per batch read from a pipe. Neither batching
+# nor the stdin transport may change a reply byte.
 "$SERVE" --checkpoint="$WORK/model.ckpt" --in="$WORK/texas.txt" \
-  --batch_lines=8 < "$QUERIES" > "$WORK/replies.jsonl" 2> "$WORK/serve.log"
+  --batch_lines=8 < "$QUERIES" > "$WORK/replies_file.jsonl" \
+  2> "$WORK/serve_file.log"
+# The pipe is the point here (stdin must not be a regular file).
+# shellcheck disable=SC2002
+cat "$QUERIES" | "$SERVE" --checkpoint="$WORK/model.ckpt" \
+  --in="$WORK/texas.txt" --batch_lines=1 > "$WORK/replies_pipe.jsonl" \
+  2> "$WORK/serve_pipe.log"
 
-if ! diff -u "$GOLDEN" "$WORK/replies.jsonl"; then
-  echo "serve_smoke: FAIL — replies diverge from $GOLDEN" >&2
-  echo "serve_smoke: server log follows" >&2
-  cat "$WORK/serve.log" >&2
-  exit 1
-fi
+for run in file pipe; do
+  if ! diff -u "$GOLDEN" "$WORK/replies_$run.jsonl"; then
+    echo "serve_smoke: FAIL — $run run replies diverge from $GOLDEN" >&2
+    echo "serve_smoke: server log follows" >&2
+    cat "$WORK/serve_$run.log" >&2
+    exit 1
+  fi
+done
 
-echo "serve_smoke: OK ($(wc -l < "$GOLDEN") replies match golden)"
+echo "serve_smoke: OK ($(wc -l < "$GOLDEN") replies match golden, file and pipe runs)"
