@@ -73,6 +73,52 @@ BENCHMARK(BM_DenseMatMul)
     ->Args({8000, 2})
     ->Args({8000, 4});
 
+// The two backward products of one dense layer at the DP-fusion shape of
+// the Chameleon x5 benchmark graph: n = 4450 nodes, (k+1)f = 480 inputs,
+// h = 64 hidden. TransposeA is the weight gradient xᵀ·g (480 x 64 output),
+// TransposeB the input gradient g·wᵀ (4450 x 480 output). Items are
+// multiply-adds, as in BM_DenseMatMul, per wall-clock second (UseRealTime),
+// so the threads:2 row shows the parallel speedup.
+constexpr int64_t kFusionN = 4450;
+constexpr int64_t kFusionIn = 480;
+constexpr int64_t kFusionH = 64;
+
+void BM_MatMulTransposeA(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
+  Rng rng(5);
+  Matrix x = Matrix::RandomNormal(kFusionN, kFusionIn, &rng);
+  Matrix g = Matrix::RandomNormal(kFusionN, kFusionH, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransposeA(x, g));
+  }
+  state.SetItemsProcessed(state.iterations() * kFusionN * kFusionIn *
+                          kFusionH);
+  SetNumThreads(0);
+}
+BENCHMARK(BM_MatMulTransposeA)
+    ->ArgNames({"threads"})
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime();
+
+void BM_MatMulTransposeB(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
+  Rng rng(6);
+  Matrix g = Matrix::RandomNormal(kFusionN, kFusionH, &rng);
+  Matrix w = Matrix::RandomNormal(kFusionIn, kFusionH, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransposeB(g, w));
+  }
+  state.SetItemsProcessed(state.iterations() * kFusionN * kFusionIn *
+                          kFusionH);
+  SetNumThreads(0);
+}
+BENCHMARK(BM_MatMulTransposeB)
+    ->ArgNames({"threads"})
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime();
+
 // Verbatim copy of the seed MatMul kernel (naive ikj, float accumulation,
 // zero-skip) — the baseline the blocked kernel is measured against.
 Matrix SeedMatMul(const Matrix& a, const Matrix& b) {

@@ -3,13 +3,13 @@
 // (simd::ActiveLevel) guarantees these functions only execute on CPUs that
 // support them.
 //
-// Precision discipline: the dense GEMM family keeps the double-accumulator
-// contract by widening 8-wide float lanes into pairs of 4-wide double
-// accumulators (_mm256_cvtps_pd) and accumulating with double FMAs. Per
-// output element the contraction order is a fixed function of shapes, so
-// results at this level are bitwise identical for any thread count; they
-// differ from the portable level only by FMA contraction / lane-splitting
-// rounding, which the parity suite bounds with rel-error checks.
+// Precision discipline: the dense GEMM keeps the double-accumulator
+// contract by widening each `a` element as it is broadcast and each packed
+// `b` slab element (both exact) and accumulating every output element in
+// one sequential-k chain of double FMAs. The order is a fixed function of
+// shapes, so results at this level are bitwise identical for any thread
+// count, and since a float*float product is exact in double, FMA
+// contraction cannot separate them from the portable level's chain either.
 
 #include <cstdint>
 
@@ -77,10 +77,8 @@ inline void StoreRow(const __m256d acc0, const __m256d acc1,
   }
 }
 
-ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
-                  int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                  float* out) {
-  (void)a;  // this level accumulates from the pre-widened operand
+ADPA_HOT void GemmRowsAvx2(const float* a, const float* b, int64_t i_begin,
+                           int64_t i_end, int64_t k, int64_t m, float* out) {
   std::vector<double>& slab_buf = SlabScratch();
   slab_buf.resize(k * kNr);  // analyze:allow(alloc): thread_local slab capacity reuse
   double* slab = slab_buf.data();
@@ -97,10 +95,10 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
         acc[r][1] = _mm256_setzero_pd();
         acc[r][2] = _mm256_setzero_pd();
       }
-      const double* a0 = ad + (i0 + 0) * k;
-      const double* a1 = ad + (i0 + 1) * k;
-      const double* a2 = ad + (i0 + 2) * k;
-      const double* a3 = ad + (i0 + 3) * k;
+      const float* a0 = a + (i0 + 0) * k;
+      const float* a1 = a + (i0 + 1) * k;
+      const float* a2 = a + (i0 + 2) * k;
+      const float* a3 = a + (i0 + 3) * k;
       for (int64_t p = 0; p < k; ++p) {
         const double* b_row = slab + p * kNr;
         const __m256d bv0 = _mm256_loadu_pd(b_row + 0);
@@ -134,7 +132,7 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
       __m256d acc0 = _mm256_setzero_pd();
       __m256d acc1 = _mm256_setzero_pd();
       __m256d acc2 = _mm256_setzero_pd();
-      const double* a_row = ad + i0 * k;
+      const float* a_row = a + i0 * k;
       for (int64_t p = 0; p < k; ++p) {
         const double* b_row = slab + p * kNr;
         const __m256d av = _mm256_set1_pd(a_row[p]);
@@ -145,34 +143,6 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
       StoreRow(acc0, acc1, acc2, width, out + i0 * m + j0);
     }
   }
-}
-
-ADPA_HOT double DotAvx2(const float* a, const float* b, int64_t k) {
-  // 8-wide float lanes widened into two 4-wide double accumulators (lanes
-  // p%8 in 0..3 vs 4..7); the split and the final fixed-order horizontal
-  // sum change the rounding relative to the strictly sequential portable
-  // dot, which is exactly the cross-level difference the rel-error parity
-  // suite bounds. Within this level the order is a pure function of k.
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  int64_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    const __m256 af = _mm256_loadu_ps(a + p);
-    const __m256 bf = _mm256_loadu_ps(b + p);
-    const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(af));
-    const __m256d b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(bf));
-    const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(af, 1));
-    const __m256d b_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(bf, 1));
-    acc_lo = _mm256_fmadd_pd(a_lo, b_lo, acc_lo);
-    acc_hi = _mm256_fmadd_pd(a_hi, b_hi, acc_hi);
-  }
-  double lanes[8];
-  _mm256_storeu_pd(lanes + 0, acc_lo);
-  _mm256_storeu_pd(lanes + 4, acc_hi);
-  double total = 0.0;
-  for (int l = 0; l < 8; ++l) total += lanes[l];
-  for (; p < k; ++p) total += static_cast<double>(a[p]) * b[p];
-  return total;
 }
 
 ADPA_HOT void AxpyWideAvx2(double w, const float* x, int64_t m, double* acc) {
@@ -300,9 +270,9 @@ ADPA_HOT void ScaleToAvx2(float* dst, const float* src, float factor, int64_t n)
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    GemmRowsAvx2, DotAvx2,  AxpyWideAvx2, SpmmRowsAvx2, SpmmAxpbyRowsAvx2,
-    AddAvx2,      SubAvx2,  MulAvx2,      ScaleAvx2,    AxpyAvx2,
-    ScaleToAvx2,  CopyPortable,  // a copy is a copy at every level
+    GemmRowsAvx2, AxpyWideAvx2, SpmmRowsAvx2, SpmmAxpbyRowsAvx2,
+    AddAvx2,      SubAvx2,      MulAvx2,      ScaleAvx2,
+    AxpyAvx2,     ScaleToAvx2,  CopyPortable,  // a copy is a copy at every level
 };
 
 }  // namespace adpa::simd::detail
@@ -311,8 +281,8 @@ const KernelTable kAvx2Table = {
 
 namespace adpa::simd::detail {
 const KernelTable kAvx2Table = {
-    GemmRowsPortable, DotPortable,      AxpyWidePortable,
-    SpmmRowsPortable, SpmmAxpbyRowsPortable,
+    GemmRowsPortable, AxpyWidePortable, SpmmRowsPortable,
+    SpmmAxpbyRowsPortable,
     AddPortable,      SubPortable,      MulPortable,
     ScalePortable,    AxpyPortable,     ScaleToPortable,
     CopyPortable,

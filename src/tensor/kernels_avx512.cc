@@ -159,10 +159,8 @@ float ScalarChunkedDot(const float* a_row, const float* b, int64_t j,
   return static_cast<float>(dacc);
 }
 
-ADPA_HOT void GemmRowsAvx512(const float* a, const double* ad, const float* b,
-                    int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                    float* out) {
-  (void)ad;  // this level accumulates float runs straight from `a`
+ADPA_HOT void GemmRowsAvx512(const float* a, const float* b, int64_t i_begin,
+                             int64_t i_end, int64_t k, int64_t m, float* out) {
   int64_t j0 = 0;
   for (; j0 + kNr <= m; j0 += kNr) {
     int64_t i0 = i_begin;
@@ -188,32 +186,6 @@ ADPA_HOT void GemmRowsAvx512(const float* a, const double* ad, const float* b,
       }
     }
   }
-}
-
-ADPA_HOT double DotAvx512(const float* a, const float* b, int64_t k) {
-  // 16-wide float lanes widened into two 8-wide double accumulators; fixed
-  // lane order in the final horizontal sum keeps the result a pure
-  // function of k.
-  __m512d acc_lo = _mm512_setzero_pd();
-  __m512d acc_hi = _mm512_setzero_pd();
-  int64_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256 af_lo = _mm256_loadu_ps(a + p);
-    const __m256 bf_lo = _mm256_loadu_ps(b + p);
-    const __m256 af_hi = _mm256_loadu_ps(a + p + 8);
-    const __m256 bf_hi = _mm256_loadu_ps(b + p + 8);
-    acc_lo = _mm512_fmadd_pd(_mm512_cvtps_pd(af_lo), _mm512_cvtps_pd(bf_lo),
-                             acc_lo);
-    acc_hi = _mm512_fmadd_pd(_mm512_cvtps_pd(af_hi), _mm512_cvtps_pd(bf_hi),
-                             acc_hi);
-  }
-  double lanes[16];
-  _mm512_storeu_pd(lanes + 0, acc_lo);
-  _mm512_storeu_pd(lanes + 8, acc_hi);
-  double total = 0.0;
-  for (int l = 0; l < 16; ++l) total += lanes[l];
-  for (; p < k; ++p) total += static_cast<double>(a[p]) * b[p];
-  return total;
 }
 
 ADPA_HOT void AxpyWideAvx512(double w, const float* x, int64_t m, double* acc) {
@@ -340,8 +312,8 @@ ADPA_HOT void ScaleToAvx512(float* dst, const float* src, float factor, int64_t 
 }  // namespace
 
 const KernelTable kAvx512Table = {
-    GemmRowsAvx512, DotAvx512,  AxpyWideAvx512,
-    SpmmRowsAvx512, SpmmAxpbyRowsAvx512,
+    GemmRowsAvx512, AxpyWideAvx512, SpmmRowsAvx512,
+    SpmmAxpbyRowsAvx512,
     AddAvx512,      SubAvx512,  MulAvx512,
     ScaleAvx512,    AxpyAvx512, ScaleToAvx512,
     CopyPortable,
@@ -353,8 +325,8 @@ const KernelTable kAvx512Table = {
 
 namespace adpa::simd::detail {
 const KernelTable kAvx512Table = {
-    GemmRowsPortable, DotPortable,      AxpyWidePortable,
-    SpmmRowsPortable, SpmmAxpbyRowsPortable,
+    GemmRowsPortable, AxpyWidePortable, SpmmRowsPortable,
+    SpmmAxpbyRowsPortable,
     AddPortable,      SubPortable,      MulPortable,
     ScalePortable,    AxpyPortable,     ScaleToPortable,
     CopyPortable,

@@ -35,18 +35,15 @@ std::vector<double>& SlabScratch() {
 
 }  // namespace
 
-// Computes output rows [i_begin, i_end) of a*b from a pre-widened `a`
-// (`ad`, row-major n x k doubles) and the original float `b`. Iterates
-// column slabs of kGemmNr, packing each slab into a zero-padded k x kGemmNr
-// double buffer (stays L2-resident across the row panels), then runs the
-// register-tiled micro-kernel. Every output element is the sequential-k
-// double dot product of its row and column, independent of the
-// [i_begin, i_end) partition — so any chunking of rows over threads
-// produces bitwise-identical results.
-void GemmRowsPortable(const float* a, const double* ad, const float* b,
-                      int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                      float* out) {
-  (void)a;  // this level accumulates from the pre-widened operand
+// Computes output rows [i_begin, i_end) of a*b. Iterates column slabs of
+// kGemmNr, packing each slab into a zero-padded k x kGemmNr double buffer
+// (stays L2-resident across the row panels), then runs the register-tiled
+// micro-kernel, widening each `a` element as it is broadcast. Every output
+// element is the sequential-k double dot product of its row and column,
+// independent of the [i_begin, i_end) partition — so any chunking of rows
+// over threads produces bitwise-identical results.
+void GemmRowsPortable(const float* a, const float* b, int64_t i_begin,
+                      int64_t i_end, int64_t k, int64_t m, float* out) {
   std::vector<double>& slab_buf = SlabScratch();
   slab_buf.resize(k * kGemmNr);  // analyze:allow(alloc): thread_local slab capacity reuse
   double* slab = slab_buf.data();
@@ -64,10 +61,10 @@ void GemmRowsPortable(const float* a, const double* ad, const float* b,
     int64_t i0 = i_begin;
     for (; i0 + kGemmMr <= i_end; i0 += kGemmMr) {
       double c[kGemmMr][kGemmNr] = {};
-      const double* a0 = ad + (i0 + 0) * k;
-      const double* a1 = ad + (i0 + 1) * k;
-      const double* a2 = ad + (i0 + 2) * k;
-      const double* a3 = ad + (i0 + 3) * k;
+      const float* a0 = a + (i0 + 0) * k;
+      const float* a1 = a + (i0 + 1) * k;
+      const float* a2 = a + (i0 + 2) * k;
+      const float* a3 = a + (i0 + 3) * k;
       for (int64_t p = 0; p < k; ++p) {
         const double* b_row = slab + p * kGemmNr;
         const double av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
@@ -91,7 +88,7 @@ void GemmRowsPortable(const float* a, const double* ad, const float* b,
     // lands on the same bits whichever path computes it.
     for (; i0 < i_end; ++i0) {
       double c1[kGemmNr] = {};
-      const double* a_row = ad + i0 * k;
+      const float* a_row = a + i0 * k;
       for (int64_t p = 0; p < k; ++p) {
         const double av = a_row[p];
         const double* b_row = slab + p * kGemmNr;
@@ -103,14 +100,6 @@ void GemmRowsPortable(const float* a, const double* ad, const float* b,
       }
     }
   }
-}
-
-double DotPortable(const float* a, const float* b, int64_t k) {
-  double acc = 0.0;
-  for (int64_t p = 0; p < k; ++p) {
-    acc += static_cast<double>(a[p]) * b[p];
-  }
-  return acc;
 }
 
 void AxpyWidePortable(double w, const float* x, int64_t m, double* acc) {
@@ -199,8 +188,8 @@ void CopyPortable(float* dst, const float* src, int64_t n) {
 }
 
 const KernelTable kPortableTable = {
-    GemmRowsPortable, DotPortable,      AxpyWidePortable,
-    SpmmRowsPortable, SpmmAxpbyRowsPortable,
+    GemmRowsPortable, AxpyWidePortable, SpmmRowsPortable,
+    SpmmAxpbyRowsPortable,
     AddPortable,      SubPortable,      MulPortable,
     ScalePortable,    AxpyPortable,     ScaleToPortable,
     CopyPortable,

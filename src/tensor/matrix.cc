@@ -160,18 +160,6 @@ float Matrix::FrobeniusNorm() const {
   return static_cast<float>(std::sqrt(total));
 }
 
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  // Partition over output rows; each is written by exactly one thread.
-  ParallelFor(0, cols_, 16, [&](int64_t begin, int64_t end) {
-    for (int64_t c = begin; c < end; ++c) {
-      float* out_row = out.Row(c);
-      for (int64_t r = 0; r < rows_; ++r) out_row[r] = At(r, c);
-    }
-  });
-  return out;
-}
-
 Matrix Matrix::SliceRows(int64_t begin, int64_t end) const {
   ADPA_CHECK_GE(begin, 0);
   ADPA_CHECK_LE(begin, end);
@@ -201,47 +189,65 @@ std::string Matrix::ToString(int max_rows, int max_cols) const {
 
 namespace {
 
-// Per-thread widening scratch: MatMul converts `a` to double here once per
-// call, and steady-state calls of the same shape never allocate.
-std::vector<double>& WidenScratch() {
-  thread_local std::vector<double> scratch;
-  return scratch;
+// Writes aᵀ (a.cols x a.rows, row-major) to `out`. Partitioned over output
+// rows; each is written by exactly one thread. Within a chunk, blocks of
+// kBlock output rows read each source row once as one contiguous run
+// instead of striding down a column per output row.
+void TransposeTo(const Matrix& a, float* out) {
+  constexpr int64_t kBlock = 16;
+  const int64_t rows = a.rows();
+  ParallelFor(0, a.cols(), kBlock, [&](int64_t begin, int64_t end) {
+    for (int64_t c0 = begin; c0 < end; c0 += kBlock) {
+      const int64_t c1 = std::min(c0 + kBlock, end);
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* src = a.Row(r);
+        for (int64_t c = c0; c < c1; ++c) out[c * rows + r] = src[c];
+      }
+    }
+  });
 }
 
-// Widens a float buffer into the calling thread's scratch, in parallel.
-// Pure per-element conversion, so trivially thread-count independent.
-const double* WidenToDouble(const float* src, int64_t count) {
-  std::vector<double>& buf = WidenScratch();
-  buf.resize(count);  // analyze:allow(alloc): thread_local widen scratch capacity reuse
-  double* dst = buf.data();
-  ParallelFor(0, count, kElementwiseGrain, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) dst[i] = src[i];
-  });
-  return dst;
+// The one dense GEMM driver: output rows of a*b (a: n x k, b: k x m, out:
+// n x m, all row-major) partitioned over threads, one gemm_rows call per
+// chunk. Every level's gemm_rows computes each output element as the same
+// chain whichever micro-kernel path (full tile or row tail) covers its row,
+// so any row partition — and any thread count — produces bitwise-identical
+// results. The grain keeps ~kMinCostPerChunk FLOPs per chunk (2*k*m per
+// row).
+void GemmInto(const float* a, const float* b, int64_t n, int64_t k, int64_t m,
+              float* out) {
+  if (n == 0 || k == 0 || m == 0) return;
+  const simd::KernelTable& kernels = simd::Kernels();
+  ParallelFor(0, n, GrainForCost(2 * k * m),
+              [&](int64_t row_begin, int64_t row_end) {
+                kernels.gemm_rows(a, b, row_begin, row_end, k, m, out);
+              });
+}
+
+// Packs srcᵀ into the calling thread's panel and returns it: the
+// transposed operand of MatMulTransposeA/B. Packing is an O(n*k) copy
+// against the O(n*k*m) product, and the capacity persists, so steady-state
+// backward passes neither allocate nor re-zero the panel.
+const float* PackTransposed(const Matrix& src) {
+  thread_local std::vector<float> panel;
+  panel.resize(src.size());  // analyze:allow(alloc): thread_local panel capacity reuse
+  TransposeTo(src, panel.data());
+  return panel.data();
 }
 
 }  // namespace
+
+Matrix Matrix::Transposed() const {
+  Matrix out(cols_, rows_);
+  TransposeTo(*this, out.data());
+  return out;
+}
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   ADPA_CHECK_EQ(a.cols(), b.rows());
   ADPA_CHECK(out != &a && out != &b);
   out->Resize(a.rows(), b.cols());
-  const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  if (n == 0 || k == 0 || m == 0) return;
-  const double* ad = WidenToDouble(a.data(), n * k);
-  const simd::KernelTable& kernels = simd::Kernels();
-  const float* b_data = b.data();
-  float* out_data = out->data();
-  // Partition over output rows. Every level's gemm_rows computes each
-  // output element as the same sequential-k chain whichever micro-kernel
-  // path (full tile or row tail) covers its row, so any row partition —
-  // and any thread count — produces bitwise-identical results. The grain
-  // keeps ~kMinCostPerChunk FLOPs per chunk (2*k*m per row).
-  ParallelFor(0, n, GrainForCost(2 * k * m),
-              [&](int64_t row_begin, int64_t row_end) {
-                kernels.gemm_rows(a.data(), ad, b_data, row_begin, row_end, k,
-                                  m, out_data);
-              });
+  GemmInto(a.data(), b.data(), a.rows(), a.cols(), b.cols(), out->data());
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -279,61 +285,16 @@ Matrix MatMulSparseA(const Matrix& a, const Matrix& b) {
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   ADPA_CHECK_EQ(a.rows(), b.rows());
   Matrix out(a.cols(), b.cols());
-  const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  if (n == 0 || k == 0 || m == 0) return out;
-  const simd::KernelTable& kernels = simd::Kernels();
-  // Partition over fixed-size blocks of output rows (columns p of `a`).
-  // Each block sweeps all n inputs once, accumulating its block x m tile in
-  // a local double scratch; p-order within a block and i-order within a
-  // sweep are fixed, so results do not depend on the thread count.
-  constexpr int64_t kBlock = 32;
-  const int64_t num_blocks = (k + kBlock - 1) / kBlock;
-  ParallelFor(0, num_blocks, GrainForCost(2 * n * kBlock * m),
-              [&](int64_t block_begin, int64_t block_end) {
-    std::vector<double> acc(kBlock * m);
-    for (int64_t blk = block_begin; blk < block_end; ++blk) {
-      const int64_t p0 = blk * kBlock;
-      const int64_t p1 = std::min(p0 + kBlock, k);
-      std::fill(acc.begin(), acc.begin() + (p1 - p0) * m, 0.0);
-      for (int64_t i = 0; i < n; ++i) {
-        const float* a_row = a.Row(i);
-        const float* b_row = b.Row(i);
-        for (int64_t p = p0; p < p1; ++p) {
-          const float a_ip = a_row[p];
-          // Skipping exact zeros (ReLU/dropout gradients are full of them)
-          // leaves the double accumulator bit-for-bit unchanged.
-          if (a_ip == 0.0f) continue;
-          kernels.axpy_wide(a_ip, b_row, m, acc.data() + (p - p0) * m);
-        }
-      }
-      for (int64_t p = p0; p < p1; ++p) {
-        float* out_row = out.Row(p);
-        const double* acc_row = acc.data() + (p - p0) * m;
-        for (int64_t j = 0; j < m; ++j) {
-          out_row[j] = static_cast<float>(acc_row[j]);
-        }
-      }
-    }
-  });
+  GemmInto(PackTransposed(a), b.data(), a.cols(), a.rows(), b.cols(),
+           out.data());
   return out;
 }
 
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
   ADPA_CHECK_EQ(a.cols(), b.cols());
   Matrix out(a.rows(), b.rows());
-  const int64_t n = a.rows(), k = a.cols(), m = b.rows();
-  if (n == 0 || k == 0 || m == 0) return out;
-  const simd::KernelTable& kernels = simd::Kernels();
-  ParallelFor(0, n, GrainForCost(2 * k * m),
-              [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = a.Row(i);
-      float* out_row = out.Row(i);
-      for (int64_t j = 0; j < m; ++j) {
-        out_row[j] = static_cast<float>(kernels.dot(a_row, b.Row(j), k));
-      }
-    }
-  });
+  GemmInto(a.data(), PackTransposed(b), a.rows(), a.cols(), b.rows(),
+           out.data());
   return out;
 }
 

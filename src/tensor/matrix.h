@@ -160,13 +160,14 @@ class Matrix {
 
 /// Dense matmul family.
 ///
-/// Precision contract: every member accumulates each output element in a
+/// Precision contract: every member accumulates each output element into a
 /// `double`, scanning the contraction dimension in increasing index order,
-/// with a single final round to float32. All members therefore share one
-/// numerical behaviour (the seed kernels mixed float and double
-/// accumulators), and because work is partitioned over disjoint *output*
-/// panels, multithreaded results are bitwise identical to single-threaded
-/// ones for any thread count.
+/// with a single final round to float32 (the AVX-512 level adds fixed
+/// 128-step float runs into that double; simd::KernelTable::gemm_rows).
+/// MatMul and both transposed products run one kernel, so they share one
+/// numerical behaviour, and because work is partitioned over disjoint
+/// *output* rows, multithreaded results are bitwise identical to
+/// single-threaded ones for any thread count.
 
 /// out = a * b. Shapes must agree (a.cols == b.rows). Routed through the
 /// active SIMD level's micro-kernel (simd::Kernels().gemm_rows); see the
@@ -190,10 +191,13 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// savings beat the blocked kernel.
 Matrix MatMulSparseA(const Matrix& a, const Matrix& b);
 
-/// out = aᵀ * b, computed without materializing aᵀ.
+/// out = aᵀ * b. Packs aᵀ into a per-thread panel (an O(n*k) copy; the
+/// capacity is reused across calls) and runs the same gemm_rows kernel as
+/// MatMul, so the result is bitwise MatMul(a.Transposed(), b) at every level
+/// and shares MatMul's accumulation discipline and thread-count invariance.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 
-/// out = a * bᵀ, computed without materializing bᵀ.
+/// out = a * bᵀ. Packs bᵀ the same way; bitwise MatMul(a, b.Transposed()).
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
 /// Elementwise binary operations returning new matrices.

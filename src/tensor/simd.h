@@ -55,11 +55,13 @@ void SetLevel(Level level);
 /// the output range it is handed, so the ParallelFor partitioning done by
 /// the callers preserves the thread-count-invariance contract unchanged.
 struct KernelTable {
-  /// Dense GEMM panel: computes output rows [i_begin, i_end) of a*b.
-  /// `a` is the row-major n x k float input and `ad` the same matrix
-  /// pre-widened to double — both are always provided, and a level reads
-  /// whichever operand its accumulation scheme needs. `b` is row-major
-  /// k x m float; `out` row-major n x m, fully overwritten in the row range.
+  /// Dense GEMM panel: computes output rows [i_begin, i_end) of a*b, where
+  /// `a` is row-major n x k float, `b` row-major k x m float and `out`
+  /// row-major n x m, fully overwritten in the row range. The one dense
+  /// kernel behind MatMul, MatMulTransposeA and MatMulTransposeB (the
+  /// transposed products pack their transposed operand first). Levels that
+  /// accumulate in double widen `a` themselves; float->double is exact, so
+  /// where the widening happens never changes the bits.
   ///
   /// Accumulation discipline: the portable and AVX2 levels accumulate each
   /// output element in one double chain over the full contraction. The
@@ -68,15 +70,11 @@ struct KernelTable {
   /// direction still accumulates in double, at twice the FMA throughput.
   /// Either way the order is a pure function of shapes, so every level is
   /// bitwise thread-count invariant; levels differ only to rel-error.
-  void (*gemm_rows)(const float* a, const double* ad, const float* b,
-                    int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                    float* out);
-
-  /// Double-accumulated dot product of two float spans of length k.
-  double (*dot)(const float* a, const float* b, int64_t k);
+  void (*gemm_rows)(const float* a, const float* b, int64_t i_begin,
+                    int64_t i_end, int64_t k, int64_t m, float* out);
 
   /// acc[j] += double(w) * x[j] for j in [0, m): the widened-accumulator
-  /// inner axpy of MatMulSparseA / MatMulTransposeA.
+  /// inner axpy of MatMulSparseA.
   void (*axpy_wide)(double w, const float* x, int64_t m, double* acc);
 
   /// CSR SpMM over output rows [row_begin, row_end): overwrites

@@ -19,10 +19,8 @@ extern const KernelTable kAvx512Table;
 // matrix.cc / sparse_matrix.cc inner loops, moved verbatim; the portable
 // table is built from exactly these, so the `portable` level behaves as the
 // pre-dispatch kernels did.
-ADPA_HOT void GemmRowsPortable(const float* a, const double* ad, const float* b,
-                      int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                      float* out);
-ADPA_HOT double DotPortable(const float* a, const float* b, int64_t k);
+ADPA_HOT void GemmRowsPortable(const float* a, const float* b, int64_t i_begin,
+                               int64_t i_end, int64_t k, int64_t m, float* out);
 ADPA_HOT void AxpyWidePortable(double w, const float* x, int64_t m, double* acc);
 ADPA_HOT void SpmmRowsPortable(const int64_t* row_ptr, const int32_t* col_idx,
                       const float* values, const float* dense, int64_t cols,

@@ -12,7 +12,10 @@
 //      Multiply + ScaleInPlace + AddScaledInPlace sequence at every level;
 //   4. elementwise kernels (independent one-op-per-element loops) are
 //      bitwise identical across ALL levels;
-//   5. the full InferenceSession forward obeys 1 and 2 end to end.
+//   5. the full InferenceSession forward obeys 1 and 2 end to end;
+//   6. the transposed products are MatMul on a packed operand — bitwise
+//      equal to MatMul of the explicit transpose at every level — and the
+//      portable level's dense bits are pinned by CRC32.
 //
 // Plus behavioral tests for the simd:: API surface and the serve-path
 // Workspace slot pool.
@@ -23,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/hash.h"
 #include "src/core/parallel.h"
 #include "src/core/random.h"
 #include "src/data/generators.h"
@@ -77,7 +81,7 @@ double MaxRelError(const Matrix& a, const Matrix& b) {
   return worst;
 }
 
-/// Odd shapes on purpose: rows hit the 4-row (portable/AVX2) and 6-row
+/// Odd shapes on purpose: rows hit the 4-row (portable/AVX2) and 8-row
 /// (AVX-512) GEMM tile tails, columns hit the 32-column slab tail and the
 /// 8/16-lane vector tails.
 constexpr int64_t kN = 67;
@@ -173,21 +177,76 @@ TEST(SimdTest, DenseMatMulFamilyAgreesAcrossLevels) {
   for (simd::Level level : simd::SupportedLevels()) {
     if (level == simd::Level::kPortable) continue;
     simd::SetLevel(level);
-    // MatMul's AVX-512 level accumulates fixed 128-step float runs into
+    // The AVX-512 gemm_rows accumulates fixed 128-step float runs into
     // double accumulators (simd.h), so its divergence from portable is a
-    // few float ulps — bounded by the run length, not by k.
+    // few float ulps — bounded by the run length, not by k. The transposed
+    // products run the same kernel on a packed operand, so they share the
+    // bound.
     EXPECT_LT(MaxRelError(MatMul(a, b), mm_ref), 1e-5)
         << simd::LevelName(level);
-    // The transpose/sparse variants accumulate in double at every level, so
-    // the only divergence is the final double->float rounding of sums whose
+    EXPECT_LT(MaxRelError(MatMulTransposeA(at, b), ta_ref), 1e-5)
+        << simd::LevelName(level);
+    EXPECT_LT(MaxRelError(MatMulTransposeB(a, bt), tb_ref), 1e-5)
+        << simd::LevelName(level);
+    // MatMulSparseA accumulates in double at every level, so the only
+    // divergence is the final double->float rounding of sums whose
     // contraction order differs: half-ulp-scale wiggle, not 1e-3 drift.
     EXPECT_LT(MaxRelError(MatMulSparseA(a, b), sa_ref), 1e-6)
         << simd::LevelName(level);
-    EXPECT_LT(MaxRelError(MatMulTransposeA(at, b), ta_ref), 1e-6)
-        << simd::LevelName(level);
-    EXPECT_LT(MaxRelError(MatMulTransposeB(a, bt), tb_ref), 1e-6)
-        << simd::LevelName(level);
   }
+}
+
+/// Shapes for the transposed-product tests: 267 output rows hit the 4-row
+/// (portable/AVX2) and 8-row (AVX-512) tile tails and span more than two
+/// GEMM grains, so 2 and 8 threads really split them; 53 = 32 + 16 + 5
+/// output columns hit the AVX-512 32-column, 16-column and scalar paths as
+/// well as the portable (32) and AVX2 (12) column-slab tails; and a
+/// 150-step contraction crosses the AVX-512 level's 128-step float-run
+/// boundary.
+constexpr int64_t kRowsT = 267;
+constexpr int64_t kInnerT = 150;
+constexpr int64_t kColsT = 53;
+
+TEST(SimdTest, TransposedProductsAreMatMulOfTheTransposeBitwise) {
+  DispatchGuard guard;
+  Rng rng(18);
+  const Matrix at = Matrix::RandomNormal(kInnerT, kRowsT, &rng);
+  const Matrix b = Matrix::RandomNormal(kInnerT, kColsT, &rng);
+  const Matrix a = Matrix::RandomNormal(kRowsT, kInnerT, &rng);
+  const Matrix bt = Matrix::RandomNormal(kColsT, kInnerT, &rng);
+  for (simd::Level level : simd::SupportedLevels()) {
+    simd::SetLevel(level);
+    for (int threads : {1, 2, 8}) {
+      SetNumThreads(threads);
+      EXPECT_TRUE(BitwiseEqual(MatMulTransposeA(at, b),
+                               MatMul(at.Transposed(), b)))
+          << simd::LevelName(level) << " MatMulTransposeA @" << threads << "T";
+      EXPECT_TRUE(BitwiseEqual(MatMulTransposeB(a, bt),
+                               MatMul(a, bt.Transposed())))
+          << simd::LevelName(level) << " MatMulTransposeB @" << threads << "T";
+    }
+  }
+}
+
+uint32_t Crc(const Matrix& m) {
+  return Crc32(m.data(), static_cast<size_t>(m.size()) * sizeof(float));
+}
+
+// The portable level is what the serving goldens are recorded at. These
+// CRC32s of its dense products on fixed-seed uniform inputs (exact to
+// generate on any host) were recorded before the GEMM family was folded
+// onto one kernel; they must not move.
+TEST(SimdTest, PortableDenseMatMulBitsArePinned) {
+  DispatchGuard guard;
+  simd::SetLevel(simd::Level::kPortable);
+  Rng rng(19);
+  const Matrix a = Matrix::RandomUniform(kRowsT, kInnerT, &rng, -1.0f, 1.0f);
+  const Matrix b = Matrix::RandomUniform(kInnerT, kColsT, &rng, -1.0f, 1.0f);
+  const Matrix at = Matrix::RandomUniform(kInnerT, kRowsT, &rng, -1.0f, 1.0f);
+  const Matrix bt = Matrix::RandomUniform(kColsT, kInnerT, &rng, -1.0f, 1.0f);
+  EXPECT_EQ(Crc(MatMul(a, b)), 0xfd15b88au);
+  EXPECT_EQ(Crc(MatMulTransposeA(at, b)), 0xfb942019u);
+  EXPECT_EQ(Crc(MatMulTransposeB(a, bt)), 0xb323cd96u);
 }
 
 TEST(SimdTest, SpmmAndFusedChainAreThreadCountInvariantPerLevel) {

@@ -15,6 +15,9 @@
 # such files). The stock "library_build_type" key is NOT consulted: it only
 # describes the installed google-benchmark library.
 #
+# Rows named threads:N are kept only when the recording host has at least N
+# CPUs; the rest are dropped with a note on stderr.
+#
 # usage: tools/bench_to_json.sh [--allow-debug] [build-dir] [out-file] [serve-out-file]
 set -eu
 
@@ -54,12 +57,37 @@ if [ ! -x "$BENCH_BIN" ]; then
 fi
 
 "$BENCH_BIN" \
-  --benchmark_filter='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused)' \
+  --benchmark_filter='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|MatMulTransposeA|MatMulTransposeB|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused|AdpaTrainEpoch)' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$OUT_FILE"
 
 check_release "$OUT_FILE" "adpa_build_type"
+
+# A threads:N row recorded on fewer than N CPUs measures time slicing, not
+# parallel speedup: drop it from the report, saying so on stderr.
+python3 - "$OUT_FILE" <<'PY'
+import json
+import re
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    report = json.load(f)
+cpus = report["context"]["num_cpus"]
+kept = []
+for row in report["benchmarks"]:
+    match = re.search(r"threads:(\d+)", row["name"])
+    if match and int(match.group(1)) > cpus:
+        print(f"note: dropped {row['name']}: recorded on {cpus} CPUs",
+              file=sys.stderr)
+        continue
+    kept.append(row)
+report["benchmarks"] = kept
+with open(path, "w") as f:
+    json.dump(report, f, indent=2)
+    f.write("\n")
+PY
 echo "wrote $OUT_FILE"
 
 for bin in "$SERVE_BIN" "$LOAD_BIN"; do
