@@ -54,6 +54,13 @@ class Model {
   /// non-null when training.
   virtual ag::Variable Forward(bool training, Rng* rng) = 0;
 
+  /// Eval-mode logits (n x C) for model selection and reporting. Models
+  /// with a no-tape forward override this; it must equal
+  /// Forward(/*training=*/false, rng).value() and draw nothing from `rng`.
+  virtual Matrix EvalLogits(Rng* rng) {
+    return Forward(/*training=*/false, rng).value();
+  }
+
   /// All trainable parameters.
   virtual std::vector<ag::Variable> Parameters() const = 0;
 

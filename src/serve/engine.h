@@ -1,5 +1,6 @@
 #pragma once
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -7,8 +8,8 @@
 #include "src/core/thread_annotations.h"
 #include "src/data/dataset.h"
 #include "src/io/checkpoint.h"
+#include "src/models/adpa.h"
 #include "src/tensor/matrix.h"
-#include "src/tensor/workspace.h"
 
 namespace adpa::serve {
 
@@ -23,16 +24,15 @@ struct EngineOptions {
   CheckpointLimits limits;
 };
 
-/// No-tape ADPA inference over a loaded checkpoint.
+/// Serving handle around one AdpaModel rebuilt from a checkpoint.
 ///
-/// The training path builds an autograd graph (ag::Variable nodes) on every
-/// forward; serving does not need gradients, so this engine re-implements
-/// the eval-mode forward directly on Matrix kernels — zero Node
-/// allocations, Dropout elided (it is the identity in eval mode). Every op
-/// calls the *same* kernel the corresponding ag:: op's forward calls
-/// (adpa::MatMul, AddRowBroadcast, adpa::ScaleRows, …), so the logits are
-/// bitwise identical to `model.Forward(/*training=*/false, …)` — a property
-/// serve_test asserts for all four DP-attention variants.
+/// The model owns ADPA's Eq. 9 propagation, its parameter layout and its
+/// no-tape eval forward (AdpaModel::EvalAll / EvalRows); the session adds
+/// what serving needs on top: checkpoint-vs-dataset validation, the Eq. 9
+/// sidecar cache, request index checks and the single-thread pin. Its
+/// logits are therefore the training model's
+/// `Forward(/*training=*/false, …)` bit for bit — a property serve_test
+/// asserts for all four DP-attention variants.
 ///
 /// Because every stage is row-wise over nodes (matmuls contract over
 /// feature columns; softmax/attention are per-row), `ForwardRows` on a node
@@ -40,9 +40,10 @@ struct EngineOptions {
 /// is what makes cheap micro-batched point queries possible.
 class InferenceSession {
  public:
-  /// Validates the checkpoint against `dataset` (content hash, shapes),
-  /// replays or cache-loads the K-step DP propagation, and binds every
-  /// tensor to its role (mirroring AdpaModel::Parameters() order).
+  /// Validates the checkpoint against `dataset` (DP patterns, content
+  /// hash, sizes), cache-loads or replays the K-step DP propagation, and
+  /// loads the weights into an AdpaModel (tensor count and every shape are
+  /// checked).
   static Result<InferenceSession> Create(const Checkpoint& checkpoint,
                                          const Dataset& dataset,
                                          const EngineOptions& options = {});
@@ -61,8 +62,6 @@ class InferenceSession {
 
   int64_t num_nodes() const { return num_nodes_; }
   int64_t num_classes() const { return num_classes_; }
-  int steps() const { return steps_; }
-  int64_t blocks_per_step() const { return blocks_per_step_; }
   /// True when the Eq. 9 precompute came from the sidecar cache.
   bool used_propagation_cache() const { return used_propagation_cache_; }
 
@@ -74,50 +73,11 @@ class InferenceSession {
  private:
   InferenceSession() = default;
 
-  struct LinearParams {
-    Matrix weight;  // in x out
-    Matrix bias;    // 1 x out
-  };
-
-  /// Shared eval forward over borrowed block matrices; `dp_rows` is the
-  /// per-node dp_weights slice for kOriginal (empty row set otherwise).
-  /// Every intermediate lives in `ws` (the caller's per-thread workspace),
-  /// so steady-state forwards perform zero heap allocations; helpers return
-  /// pointers to workspace slots, valid until the workspace is Reset.
-  Matrix ForwardBlocks(const std::vector<std::vector<const Matrix*>>& blocks,
-                       const Matrix& dp_rows, Workspace* ws) const;
-  Matrix* FuseStep(const std::vector<const Matrix*>& blocks,
-                   const Matrix& dp_rows, Workspace* ws) const;
-  Matrix* MlpForward(const std::vector<LinearParams>& layers,
-                     const Matrix& input, Workspace* ws) const;
-
-  ModelConfig config_;
-  int steps_ = 0;
-  int64_t blocks_per_step_ = 0;
+  std::unique_ptr<const AdpaModel> model_;
   int64_t num_nodes_ = 0;
   int64_t num_classes_ = 0;
   bool used_propagation_cache_ = false;
   bool cache_degraded_ = false;
-
-  /// blocks_[l][g]: block g of propagation step l (residual X^(0) first
-  /// when config_.initial_residual), each num_nodes x feature_dim.
-  std::vector<std::vector<Matrix>> blocks_;
-
-  // Parameters, positionally bound from the checkpoint tensor list.
-  Matrix dp_weights_;                          // kOriginal: n x B logits
-  std::vector<LinearParams> gate_layers_;      // kGate
-  std::vector<LinearParams> recursive_layers_; // kRecursive (index 0 unused)
-  std::vector<LinearParams> dp_fuse_;          // fusion MLP (2 layers)
-  LinearParams jk_fuse_;                       // kJk / kRecursive fusion
-  LinearParams hop_scorer_;                    // Eq. 11 scorer
-  std::vector<LinearParams> classifier_;       // head MLP
 };
-
-/// Replays the training-free Eq. 9 precompute exactly as the AdpaModel
-/// constructor does: blocks[l] = [X^(0) if initial_residual] ++
-/// [G_g-propagated states after l+1 steps].
-std::vector<std::vector<Matrix>> ComputePropagationBlocks(
-    const Dataset& dataset, const ModelConfig& config,
-    const std::vector<DirectedPattern>& patterns);
 
 }  // namespace adpa::serve

@@ -30,6 +30,8 @@ class Linear {
   /// Trainable parameters (W, then b if present).
   std::vector<ag::Variable> Parameters() const;
 
+  const ag::Variable& weight() const { return weight_; }
+  const ag::Variable& bias() const { return bias_; }
   int64_t in_features() const { return weight_.defined() ? weight_.rows() : 0; }
   int64_t out_features() const {
     return weight_.defined() ? weight_.cols() : 0;
@@ -60,6 +62,7 @@ class Mlp {
 
   std::vector<ag::Variable> Parameters() const;
 
+  const std::vector<Linear>& layers() const { return layers_; }
   int num_layers() const { return static_cast<int>(layers_.size()); }
 
  private:

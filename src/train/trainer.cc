@@ -152,10 +152,10 @@ Result<TrainResult> TrainModelResumable(Model* model, const Dataset& dataset,
       }
     }
 
-    // Evaluation pass (no dropout).
-    ag::Variable eval_logits = model->Forward(/*training=*/false, rng);
+    // Evaluation pass (no dropout, no tape).
+    const Matrix eval_logits = model->EvalLogits(rng);
     const double val_acc =
-        Accuracy(eval_logits.value(), dataset.labels, dataset.val_idx);
+        Accuracy(eval_logits, dataset.labels, dataset.val_idx);
     if (config.record_curves) {
       result.val_curve.push_back(val_acc);
       result.train_loss_curve.push_back(loss.value().At(0, 0));
@@ -166,7 +166,7 @@ Result<TrainResult> TrainModelResumable(Model* model, const Dataset& dataset,
       result.best_val_accuracy = val_acc;
       result.best_epoch = epoch;
       result.test_accuracy =
-          Accuracy(eval_logits.value(), dataset.labels, dataset.test_idx);
+          Accuracy(eval_logits, dataset.labels, dataset.test_idx);
       epochs_since_best = 0;
     } else {
       ++epochs_since_best;

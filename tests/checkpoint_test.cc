@@ -17,7 +17,6 @@
 #include "src/io/checkpoint.h"
 #include "src/models/adpa.h"
 #include "src/models/factory.h"
-#include "src/serve/engine.h"
 #include "src/train/trainer.h"
 
 namespace adpa {
@@ -247,7 +246,7 @@ TEST(PropagationCacheTest, RoundTripPreservesKeyAndBlocksExactly) {
   const std::vector<DirectedPattern> patterns = EnumeratePatterns(2);
   PropagationCache cache;
   cache.key = MakePropagationCacheKey(ds, config, patterns);
-  cache.blocks = serve::ComputePropagationBlocks(ds, config, patterns);
+  cache.blocks = ComputePropagationBlocks(ds, config, patterns);
 
   std::ostringstream out;
   ASSERT_TRUE(SavePropagationCacheToStream(cache, out).ok());
@@ -385,7 +384,7 @@ TEST(PropagationCacheTest, CorruptedCacheIsRejected) {
   const std::vector<DirectedPattern> patterns = EnumeratePatterns(1);
   PropagationCache cache;
   cache.key = MakePropagationCacheKey(ds, config, patterns);
-  cache.blocks = serve::ComputePropagationBlocks(ds, config, patterns);
+  cache.blocks = ComputePropagationBlocks(ds, config, patterns);
   std::ostringstream out;
   ASSERT_TRUE(SavePropagationCacheToStream(cache, out).ok());
   std::string bytes = out.str();

@@ -1,8 +1,9 @@
-// Serving subsystem tests: the no-tape InferenceSession must be bitwise
-// identical to the training model's eval forward for every DP-attention
-// variant and ablation; batched/subset queries must match full forwards;
-// the micro-batcher must coalesce queued requests without changing any
-// answer; the JSON lines codec must accept exactly the request schema.
+// Serving subsystem tests: the InferenceSession's no-tape forward must be
+// bitwise identical to the training model's tape eval forward for every
+// DP-attention variant and ablation; batched/subset queries must match full
+// forwards; the micro-batcher must coalesce queued requests without
+// changing any answer; the JSON lines codec must accept exactly the request
+// schema.
 
 #include <chrono>
 #include <cstdio>
@@ -159,11 +160,22 @@ TEST(InferenceSessionTest, RejectsBadInputs) {
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition);
 
-  // Truncated tensor list: positional binding must fail loudly.
-  Checkpoint broken = fixture.checkpoint;
-  broken.tensors.pop_back();
-  EXPECT_FALSE(
-      serve::InferenceSession::Create(broken, fixture.dataset).ok());
+  // Tensors that do not fit the model the config builds: a Status, never
+  // an abort.
+  Checkpoint truncated = fixture.checkpoint;
+  truncated.tensors.pop_back();
+  Checkpoint extra = fixture.checkpoint;
+  extra.tensors.push_back(extra.tensors.back());
+  Checkpoint misshapen = fixture.checkpoint;
+  misshapen.tensors[0].value = Matrix(misshapen.tensors[0].value.rows() + 1,
+                                      misshapen.tensors[0].value.cols());
+  Checkpoint wrong_hidden = fixture.checkpoint;
+  wrong_hidden.model_config.hidden += 1;
+  for (const Checkpoint* broken :
+       {&truncated, &extra, &misshapen, &wrong_hidden}) {
+    EXPECT_FALSE(
+        serve::InferenceSession::Create(*broken, fixture.dataset).ok());
+  }
 }
 
 TEST(InferenceSessionTest, PropagationCacheHitReproducesResults) {

@@ -6,6 +6,8 @@
 #include "src/data/generators.h"
 #include "src/data/splits.h"
 #include "src/models/factory.h"
+#include "src/tensor/autograd.h"
+#include "src/tensor/optimizer.h"
 #include "src/train/experiment.h"
 #include "src/train/trainer.h"
 
@@ -98,6 +100,63 @@ TEST(TrainerTest, TestAccuracyTakenAtBestValidationEpoch) {
   double max_val = 0.0;
   for (double v : result.val_curve) max_val = std::max(max_val, v);
   EXPECT_DOUBLE_EQ(result.best_val_accuracy, max_val);
+}
+
+/// TrainModel's loop with patience 0, evaluating through the tape
+/// Forward(false) (the loop perfbench's ReplayTraining runs).
+TrainResult TrainWithTapeEval(Model* model, const Dataset& ds,
+                              const TrainConfig& config, Rng* rng) {
+  Adam optimizer(model->Parameters(), config.learning_rate,
+                 config.weight_decay);
+  TrainResult result;
+  for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
+    optimizer.ZeroGrad();
+    ag::Variable loss = ag::MaskedCrossEntropy(
+        model->Forward(/*training=*/true, rng), ds.labels, ds.train_idx);
+    ag::Backward(loss);
+    optimizer.Step();
+    const Matrix eval = model->Forward(/*training=*/false, rng).value();
+    const double val_acc = Accuracy(eval, ds.labels, ds.val_idx);
+    result.val_curve.push_back(val_acc);
+    result.train_loss_curve.push_back(loss.value().At(0, 0));
+    if (val_acc > result.best_val_accuracy) {
+      result.best_val_accuracy = val_acc;
+      result.best_epoch = epoch;
+      result.test_accuracy = Accuracy(eval, ds.labels, ds.test_idx);
+    }
+  }
+  return result;
+}
+
+TEST(TrainerTest, AdpaNoTapeEvalKeepsTrainingBitwise) {
+  // TrainModel evaluates ADPA through the no-tape EvalLogits. It must give
+  // the same curves as the tape eval forward, bit for bit: the logits must
+  // match, and eval must draw nothing from the RNG that training dropout
+  // reads next epoch.
+  ModelConfig original;
+  ModelConfig gate;
+  gate.dp_attention = DpAttention::kGate;
+  ModelConfig no_dp_attention;
+  no_dp_attention.use_dp_attention = false;
+  const Dataset ds = EasyTask();
+  for (ModelConfig mc : {original, gate, no_dp_attention}) {
+    mc.hidden = 16;
+    mc.dropout = 0.5f;
+    TrainConfig tc;
+    tc.max_epochs = 15;
+    tc.patience = 0;
+    tc.record_curves = true;
+    Rng rng_a(6);
+    ModelPtr a = std::move(CreateModel("ADPA", ds, mc, &rng_a)).value();
+    const TrainResult trained = TrainModel(a.get(), ds, tc, &rng_a);
+    Rng rng_b(6);
+    ModelPtr b = std::move(CreateModel("ADPA", ds, mc, &rng_b)).value();
+    const TrainResult replayed = TrainWithTapeEval(b.get(), ds, tc, &rng_b);
+    EXPECT_EQ(trained.val_curve, replayed.val_curve);
+    EXPECT_EQ(trained.train_loss_curve, replayed.train_loss_curve);
+    EXPECT_EQ(trained.best_epoch, replayed.best_epoch);
+    EXPECT_EQ(trained.test_accuracy, replayed.test_accuracy);
+  }
 }
 
 TEST(AggregateTest, MeanAndStd) {

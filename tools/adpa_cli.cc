@@ -159,7 +159,7 @@ int Train(const Flags& flags) {
     if (!model.ok()) return Fail(model.status());
     const Status loaded = LoadCheckpointIntoModel(*checkpoint, model->get());
     if (!loaded.ok()) return Fail(loaded);
-    const Matrix logits = (*model)->Forward(/*training=*/false, &rng).value();
+    const Matrix logits = (*model)->EvalLogits(&rng);
     std::printf("%s restored from %s: train %.1f%%, val %.1f%%, test %.1f%%\n",
                 checkpoint->model_name.c_str(), load_path.c_str(),
                 Accuracy(logits, input.labels, input.train_idx) * 100.0,
