@@ -9,6 +9,7 @@
 #include "src/core/parallel.h"
 #include "src/core/random.h"
 #include "src/data/generators.h"
+#include "src/data/splits.h"
 #include "src/graph/patterns.h"
 #include "src/models/adpa.h"
 #include "src/tensor/optimizer.h"
@@ -300,13 +301,39 @@ void BM_AdpaTrainEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_AdpaTrainEpoch);
 
+// AMUD and DP selection at n nodes and `deg` generated out-edges per node.
+// n:4200/deg:36 (~150k edges) is the size of the Tolokers x3 graph the
+// amud_undirected workload of perfbench/ analyzes.
 void BM_AmudAnalysis(benchmark::State& state) {
-  Dataset ds = MakeGraph(static_cast<int64_t>(state.range(0)), 6.0, 16);
+  Dataset ds = MakeGraph(state.range(0), static_cast<double>(state.range(1)),
+                         16);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputeAmud(ds.graph, ds.labels, 5));
   }
 }
-BENCHMARK(BM_AmudAnalysis)->Arg(500)->Arg(2000);
+BENCHMARK(BM_AmudAnalysis)
+    ->Args({500, 6})
+    ->Args({2000, 6})
+    ->Args({4200, 36})
+    ->ArgNames({"n", "deg"})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SelectPatterns(benchmark::State& state) {
+  Dataset ds = MakeGraph(state.range(0), static_cast<double>(state.range(1)),
+                         16);
+  Rng rng(7);
+  const Split split =
+      std::move(SplitFractions(ds.labels, 5, 0.5, 0.25, &rng)).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SelectPatternsByCorrelation(
+        ds.graph, ds.labels, split.train, /*max_order=*/2, /*keep=*/4));
+  }
+}
+BENCHMARK(BM_SelectPatterns)
+    ->Args({2000, 6})
+    ->Args({4200, 36})
+    ->ArgNames({"n", "deg"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PatternReachability(benchmark::State& state) {
   Dataset ds = MakeGraph(2000, static_cast<double>(state.range(0)), 16);

@@ -27,82 +27,146 @@ double PhiCoefficient(double total_pairs, double connected_pairs,
   return numerator / denominator;
 }
 
-}  // namespace
+/// Ordered pairs u != v that an operator connects, and how many of them
+/// share a label. Integer counts, so block partial sums are exact.
+struct PairCounts {
+  int64_t connected = 0;
+  int64_t connected_same = 0;
+};
 
-double PatternLabelCorrelation(const SparseMatrix& reachability,
-                               const std::vector<int64_t>& labels) {
-  const int64_t n = reachability.rows();
-  ADPA_CHECK_EQ(reachability.cols(), n);
+/// Counts the pairs (u, v), u != v, stored nonzero in `first · rest`, or in
+/// `first` itself when `rest` is null, without building the product: the
+/// rows come from SparseMatrix::ForEachProductRow, so the counted set is
+/// exactly the stored pattern of first.MultiplySparse(*rest, max_row_nnz).
+/// `known` (empty = every node) restricts both endpoints. Counts are summed
+/// per fixed row block and then in block order, so they do not depend on
+/// the thread count.
+PairCounts CountConnectedPairs(const SparseMatrix& first,
+                               const SparseMatrix* rest, int64_t max_row_nnz,
+                               const std::vector<int64_t>& labels,
+                               const std::vector<uint8_t>& known) {
+  const int64_t n = first.rows();
+  constexpr int64_t kBlock = SparseMatrix::kProductRowBlock;
+  std::vector<PairCounts> block_counts((n + kBlock - 1) / kBlock);
+  const auto count_row = [&](int64_t block, int64_t u,
+                             const std::vector<int64_t>& cols) {
+    PairCounts& counts = block_counts[block];
+    for (int64_t v : cols) {
+      if (v == u || (!known.empty() && !known[v])) continue;
+      ++counts.connected;
+      counts.connected_same += labels[u] == labels[v];
+    }
+  };
+  if (rest != nullptr) {
+    first.ForEachProductRow(
+        *rest, max_row_nnz, known,
+        [&](int64_t block, int64_t u, const std::vector<int64_t>& cols,
+            const std::vector<float>& /*values*/) {
+          count_row(block, u, cols);
+        });
+  } else {
+    // The operator's own stored nonzeros.
+    std::vector<int64_t> cols;
+    for (int64_t u = 0; u < n; ++u) {
+      if (!known.empty() && !known[u]) continue;
+      cols.clear();
+      for (int64_t p = first.row_ptr()[u]; p < first.row_ptr()[u + 1]; ++p) {
+        if (first.values()[p] != 0.0f) cols.push_back(first.col_idx()[p]);
+      }
+      count_row(u / kBlock, u, cols);
+    }
+  }
+  PairCounts total;
+  for (const PairCounts& counts : block_counts) {
+    total.connected += counts.connected;
+    total.connected_same += counts.connected_same;
+  }
+  return total;
+}
+
+/// r(G_d, N) of Eq. 4–7 for the pairs CountConnectedPairs counts, over the
+/// ordered pairs of `known_idx` (every node when null).
+double PairCorrelation(const SparseMatrix& first, const SparseMatrix* rest,
+                       int64_t max_row_nnz, const std::vector<int64_t>& labels,
+                       const std::vector<int64_t>* known_idx) {
+  const int64_t n = first.rows();
+  ADPA_CHECK_EQ(first.cols(), n);
   ADPA_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
-  if (n < 2) return 0.0;
+  const int64_t members =
+      known_idx != nullptr ? static_cast<int64_t>(known_idx->size()) : n;
+  if (members < 2) return 0.0;
+  std::vector<uint8_t> known;
+  if (known_idx != nullptr) {
+    known.assign(n, 0);
+    for (int64_t i : *known_idx) {
+      ADPA_CHECK_GE(i, 0);
+      ADPA_CHECK_LT(i, n);
+      known[i] = 1;
+    }
+  }
 
   // Same-label ordered pairs: Σ_c n_c (n_c - 1).
-  int64_t max_label = 0;
-  for (int64_t label : labels) max_label = std::max(max_label, label);
-  std::vector<int64_t> class_counts(max_label + 1, 0);
-  for (int64_t label : labels) ++class_counts[label];
+  std::vector<int64_t> class_counts;
+  for (int64_t i = 0; i < members; ++i) {
+    const int64_t label = labels[known_idx != nullptr ? (*known_idx)[i] : i];
+    ADPA_CHECK_GE(label, 0);
+    if (label >= static_cast<int64_t>(class_counts.size())) {
+      class_counts.resize(label + 1, 0);
+    }
+    ++class_counts[label];
+  }
   double same_label_pairs = 0.0;
   for (int64_t count : class_counts) {
     same_label_pairs += static_cast<double>(count) * (count - 1);
   }
 
-  // Connected pairs (diagonal entries excluded: pairs require u != v).
-  double connected = 0.0;
-  double connected_same = 0.0;
-  const auto& row_ptr = reachability.row_ptr();
-  const auto& col_idx = reachability.col_idx();
-  const auto& values = reachability.values();
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
-      const int64_t v = col_idx[p];
-      if (v == u || values[p] == 0.0f) continue;
-      connected += 1.0;
-      connected_same += labels[u] == labels[v];
-    }
-  }
+  const PairCounts counts =
+      CountConnectedPairs(first, rest, max_row_nnz, labels, known);
+  const double m = static_cast<double>(members);
+  return PhiCoefficient(m * (m - 1.0), static_cast<double>(counts.connected),
+                        same_label_pairs,
+                        static_cast<double>(counts.connected_same));
+}
 
-  const double total_pairs = static_cast<double>(n) * (n - 1);
-  return PhiCoefficient(total_pairs, connected, same_label_pairs,
-                        connected_same);
+/// r of one DP without materializing its reachability: the first hop's raw
+/// operator times the rest of the word. For order 2 the rest is the raw
+/// second-hop operator; for higher orders it is Reachability(word[1..]),
+/// exactly the operand Reachability multiplies last, so capped counts match
+/// Reachability(pattern, max_row_nnz) at every order.
+double DirectedPatternCorrelation(const PatternSet& patterns,
+                                  const DirectedPattern& pattern,
+                                  const std::vector<int64_t>& labels,
+                                  const std::vector<int64_t>* known_idx,
+                                  int64_t max_row_nnz) {
+  const auto raw = [&](Hop hop) -> const SparseMatrix& {
+    return hop == Hop::kOut ? patterns.raw_out() : patterns.raw_in();
+  };
+  const SparseMatrix& first = raw(pattern.word.front());
+  if (pattern.order() == 1) {
+    return PairCorrelation(first, nullptr, 0, labels, known_idx);
+  }
+  DirectedPattern tail;
+  tail.word.assign(pattern.word.begin() + 1, pattern.word.end());
+  const SparseMatrix held = tail.order() > 1
+                                ? patterns.Reachability(tail, max_row_nnz)
+                                : SparseMatrix();
+  const SparseMatrix& rest = tail.order() > 1 ? held : raw(tail.word[0]);
+  return PairCorrelation(first, &rest, max_row_nnz, labels, known_idx);
+}
+
+}  // namespace
+
+double PatternLabelCorrelation(const SparseMatrix& reachability,
+                               const std::vector<int64_t>& labels) {
+  return PairCorrelation(reachability, /*rest=*/nullptr, /*max_row_nnz=*/0,
+                         labels, /*known_idx=*/nullptr);
 }
 
 double PatternLabelCorrelationMasked(const SparseMatrix& reachability,
                                      const std::vector<int64_t>& labels,
                                      const std::vector<int64_t>& known_idx) {
-  const int64_t n = reachability.rows();
-  ADPA_CHECK_EQ(reachability.cols(), n);
-  ADPA_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
-  if (known_idx.size() < 2) return 0.0;
-  std::vector<uint8_t> known(n, 0);
-  for (int64_t i : known_idx) {
-    ADPA_CHECK_GE(i, 0);
-    ADPA_CHECK_LT(i, n);
-    known[i] = 1;
-  }
-  int64_t max_label = 0;
-  for (int64_t i : known_idx) max_label = std::max(max_label, labels[i]);
-  std::vector<int64_t> class_counts(max_label + 1, 0);
-  for (int64_t i : known_idx) ++class_counts[labels[i]];
-  double same_label_pairs = 0.0;
-  for (int64_t count : class_counts) {
-    same_label_pairs += static_cast<double>(count) * (count - 1);
-  }
-  double connected = 0.0, connected_same = 0.0;
-  const auto& row_ptr = reachability.row_ptr();
-  const auto& col_idx = reachability.col_idx();
-  const auto& values = reachability.values();
-  for (int64_t u = 0; u < n; ++u) {
-    if (!known[u]) continue;
-    for (int64_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
-      const int64_t v = col_idx[p];
-      if (v == u || !known[v] || values[p] == 0.0f) continue;
-      connected += 1.0;
-      connected_same += labels[u] == labels[v];
-    }
-  }
-  const double m = static_cast<double>(known_idx.size());
-  return PhiCoefficient(m * (m - 1.0), connected, same_label_pairs,
-                        connected_same);
+  return PairCorrelation(reachability, /*rest=*/nullptr, /*max_row_nnz=*/0,
+                         labels, &known_idx);
 }
 
 Result<std::vector<DirectedPattern>> SelectPatternsByCorrelation(
@@ -119,8 +183,8 @@ Result<std::vector<DirectedPattern>> SelectPatternsByCorrelation(
                       /*self_loops=*/false);
   std::vector<std::pair<double, DirectedPattern>> scored;
   for (const DirectedPattern& p : EnumeratePatterns(max_order)) {
-    const double r = PatternLabelCorrelationMasked(
-        patterns.Reachability(p, options.max_row_nnz), labels, known_idx);
+    const double r = DirectedPatternCorrelation(patterns, p, labels,
+                                                &known_idx, options.max_row_nnz);
     scored.emplace_back(r, p);
   }
   std::stable_sort(scored.begin(), scored.end(),
@@ -203,15 +267,15 @@ Result<AmudReport> ComputeAmud(const Digraph& graph,
   // First-order operators, reported for inspection / DP selection.
   for (Hop hop : {Hop::kOut, Hop::kIn}) {
     DirectedPattern p{{hop}};
-    const double r = PatternLabelCorrelation(
-        patterns.Reachability(p, options.max_row_nnz), labels);
+    const double r = DirectedPatternCorrelation(patterns, p, labels,
+                                                nullptr, options.max_row_nnz);
     report.correlations.push_back({p, r, r * r});
   }
   // Second-order operators drive the Eq. (8) score.
   std::vector<double> second_order_r2;
   for (const DirectedPattern& p : SecondOrderPatterns()) {
-    const double r = PatternLabelCorrelation(
-        patterns.Reachability(p, options.max_row_nnz), labels);
+    const double r = DirectedPatternCorrelation(patterns, p, labels,
+                                                nullptr, options.max_row_nnz);
     report.correlations.push_back({p, r, r * r});
     second_order_r2.push_back(r * r);
   }

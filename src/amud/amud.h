@@ -19,8 +19,10 @@ enum class AmudDecision { kUndirected, kDirected };
 struct AmudOptions {
   /// Decision threshold θ of Sec. III-C; S > θ keeps directed edges.
   double threshold = 0.5;
-  /// Per-row fill-in cap when materializing 2-order DP reachability.
-  /// 0 disables the guard (exact reachability).
+  /// Per-row fill-in cap of each DP product of order >= 2, applied exactly
+  /// as PatternSet::Reachability(pattern, max_row_nnz) applies it (a row
+  /// keeps its strongest entries). 0 disables the guard (exact
+  /// reachability).
   int64_t max_row_nnz = 0;
 };
 
@@ -46,7 +48,13 @@ struct AmudReport {
 /// G_d(u,v) — "v is reachable from u through `reachability`" — and the node
 /// profile agreement N(u,v) = 1[labels_u == labels_v], over all ordered
 /// pairs u != v. Both variables are binary, so this is the phi coefficient
-/// and is computed exactly from contingency counts in O(nnz + n).
+/// and is computed exactly from integer contingency counts in O(nnz + n).
+/// ComputeAmud and SelectPatternsByCorrelation get the same counts without
+/// building `reachability`: they stream the rows of the first hop times the
+/// rest of the pattern through SparseMatrix::ForEachProductRow, the row
+/// kernel of MultiplySparse, in O(Σ_u Σ_{w∈N(u)} deg(w)) time and O(n)
+/// memory per thread, nothing materialized for order <= 2. Bitwise equal to this
+/// function on PatternSet::Reachability(pattern, max_row_nnz).
 double PatternLabelCorrelation(const SparseMatrix& reachability,
                                const std::vector<int64_t>& labels);
 

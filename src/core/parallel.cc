@@ -48,8 +48,10 @@ class ThreadPool {
  public:
   explicit ThreadPool(int num_threads) : num_threads_(num_threads) {
     ADPA_CHECK_GE(num_threads, 1);
+    // analyze:allow(alloc): pool construction, once per pool width
     workers_.reserve(num_threads - 1);
     for (int i = 0; i + 1 < num_threads; ++i) {
+      // analyze:allow(alloc): pool construction, once per pool width
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
@@ -71,9 +73,11 @@ class ThreadPool {
     // Floor division keeps every chunk at least `grain` indices wide.
     const int64_t max_chunks =
         std::max<int64_t>(1, std::min<int64_t>(num_threads_, total / grain));
-    auto job = std::make_shared<Job>();
+    // Per-hand-off allocations below: serving never gets here, since
+    // ForwardRows pins a SerialSection and ParallelFor then runs inline.
+    auto job = std::make_shared<Job>();  // analyze:allow(alloc): pool hand-off
     job->fn = &fn;
-    job->chunks.reserve(max_chunks);
+    job->chunks.reserve(max_chunks);  // analyze:allow(alloc): pool hand-off
     // Balanced static partition: the first `total % max_chunks` chunks take
     // one extra index, so chunk boundaries depend only on (range, grain,
     // num_threads) — never on runtime timing.
@@ -82,7 +86,7 @@ class ThreadPool {
     int64_t at = begin;
     for (int64_t c = 0; c < max_chunks; ++c) {
       const int64_t size = base + (c < extra ? 1 : 0);
-      job->chunks.emplace_back(at, at + size);
+      job->chunks.emplace_back(at, at + size);  // analyze:allow(alloc): reserved
       at += size;
     }
     if (job->chunks.size() == 1) {
@@ -95,7 +99,7 @@ class ThreadPool {
                          std::memory_order_relaxed);
     {
       MutexLock lock(&mutex_);
-      jobs_.push_back(job);
+      jobs_.push_back(job);  // analyze:allow(alloc): pool hand-off
     }
     // The caller takes one chunk itself, so only `chunks - 1` workers can
     // find work. Waking the whole pool for a 2-3 chunk job is a wake-storm
@@ -202,7 +206,7 @@ ThreadPool& GetPool() {
   if (state.pool == nullptr) {
     const int n = state.configured_threads > 0 ? state.configured_threads
                                                : DefaultNumThreads();
-    state.pool = new ThreadPool(n);
+    state.pool = new ThreadPool(n);  // analyze:allow(alloc): one-time lazy init
   }
   return *state.pool;
 }

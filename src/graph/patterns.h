@@ -40,8 +40,11 @@ std::vector<DirectedPattern> SecondOrderPatterns();
 /// Precomputed single-hop operators for a digraph, from which any DP is
 /// applied lazily as a chain of SpMM calls — products of sparse operators
 /// are never materialized for feature propagation (complexity O(k·K·m·f),
-/// Sec. IV-D). For AMUD, boolean reachability of a pattern *is* materialized
-/// (sparse-sparse product with a density guard).
+/// Sec. IV-D). AMUD does not materialize them either: it counts each
+/// pattern's connected pairs row by row over raw_out()/raw_in() (see
+/// src/amud/amud.cc). Reachability() builds the boolean product; AMUD
+/// calls it only for the tail of an order >= 3 pattern, and tests use it
+/// as the reference for those counts.
 class PatternSet {
  public:
   /// `conv_r` selects the Eq. (1) normalization exponent applied to A and
@@ -77,7 +80,9 @@ class PatternSet {
 
   /// Boolean reachability matrix of the pattern over the *raw* adjacency
   /// (no self loops, unnormalized): entry (u,v)=1 iff v is reachable from u
-  /// through the pattern's hop sequence. `max_row_nnz > 0` caps row fill-in.
+  /// through the pattern's hop sequence. `max_row_nnz > 0` caps the row
+  /// fill-in of every product (order >= 2); an order-1 pattern is the raw
+  /// operator itself, uncapped.
   SparseMatrix Reachability(const DirectedPattern& pattern,
                             int64_t max_row_nnz = 0) const;
 

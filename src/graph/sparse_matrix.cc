@@ -252,23 +252,49 @@ SparseMatrix SparseMatrix::Transposed() const {
 
 SparseMatrix SparseMatrix::MultiplySparse(const SparseMatrix& other,
                                           int64_t max_row_nnz) const {
-  ADPA_CHECK_EQ(cols_, other.rows_);
-  // Fixed-size row blocks (independent of the thread count) each produce
-  // their own triplet list; every row's accumulation runs exactly as in
-  // the serial kernel, and FromTriplets re-sorts by (row, col), so the
-  // result is identical for any thread count.
-  constexpr int64_t kRowBlock = 256;
-  const int64_t num_blocks = (rows_ + kRowBlock - 1) / kRowBlock;
+  // Each fixed row block collects its own triplets; FromTriplets re-sorts
+  // by (row, col), so the result is identical for any thread count.
+  const int64_t num_blocks = (rows_ + kProductRowBlock - 1) / kProductRowBlock;
   std::vector<std::vector<Triplet>> block_triplets(num_blocks);
+  ForEachProductRow(other, max_row_nnz, /*row_mask=*/{},
+                    [&](int64_t block, int64_t row,
+                        const std::vector<int64_t>& cols,
+                        const std::vector<float>& values) {
+                      std::vector<Triplet>& triplets = block_triplets[block];
+                      for (size_t i = 0; i < cols.size(); ++i) {
+                        triplets.push_back({row, cols[i], values[i]});
+                      }
+                    });
+  size_t total = 0;
+  for (const std::vector<Triplet>& block : block_triplets) {
+    total += block.size();
+  }
+  std::vector<Triplet> triplets;
+  triplets.reserve(total);
+  for (std::vector<Triplet>& block : block_triplets) {
+    triplets.insert(triplets.end(), block.begin(), block.end());
+  }
+  return FromTriplets(rows_, other.cols_, std::move(triplets));
+}
+
+void SparseMatrix::ForEachProductRow(const SparseMatrix& other,
+                                     int64_t max_row_nnz,
+                                     const std::vector<uint8_t>& row_mask,
+                                     const ProductRowSink& sink) const {
+  ADPA_CHECK_EQ(cols_, other.rows_);
+  ADPA_CHECK(row_mask.empty() ||
+             static_cast<int64_t>(row_mask.size()) == rows_);
+  const int64_t num_blocks = (rows_ + kProductRowBlock - 1) / kProductRowBlock;
   ParallelFor(0, num_blocks, 1, [&](int64_t block_begin, int64_t block_end) {
     // Gustavson's algorithm with a dense accumulator per row.
     std::vector<float> accumulator(other.cols_, 0.0f);
     std::vector<int64_t> touched;
+    std::vector<float> values;
     for (int64_t blk = block_begin; blk < block_end; ++blk) {
-      std::vector<Triplet>& triplets = block_triplets[blk];
-      const int64_t r_first = blk * kRowBlock;
-      const int64_t r_last = std::min(r_first + kRowBlock, rows_);
+      const int64_t r_first = blk * kProductRowBlock;
+      const int64_t r_last = std::min(r_first + kProductRowBlock, rows_);
       for (int64_t r = r_first; r < r_last; ++r) {
+        if (!row_mask.empty() && row_mask[r] == 0) continue;
         touched.clear();
         for (int64_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
           const int64_t mid = col_idx_[p];
@@ -293,25 +319,23 @@ SparseMatrix SparseMatrix::MultiplySparse(const SparseMatrix& other,
           }
           touched.resize(max_row_nnz);
         }
+        // Store the nonzero entries, each column once (one that cancelled
+        // to zero and was touched again is listed twice), and reset the
+        // accumulator for the next row.
+        size_t kept = 0;
+        values.clear();
         for (int64_t c : touched) {
           if (accumulator[c] != 0.0f) {
-            triplets.push_back({r, c, accumulator[c]});
+            touched[kept++] = c;
+            values.push_back(accumulator[c]);
             accumulator[c] = 0.0f;
           }
         }
+        touched.resize(kept);
+        sink(blk, r, touched, values);
       }
     }
   });
-  size_t total = 0;
-  for (const std::vector<Triplet>& block : block_triplets) {
-    total += block.size();
-  }
-  std::vector<Triplet> triplets;
-  triplets.reserve(total);
-  for (std::vector<Triplet>& block : block_triplets) {
-    triplets.insert(triplets.end(), block.begin(), block.end());
-  }
-  return FromTriplets(rows_, other.cols_, std::move(triplets));
 }
 
 SparseMatrix SparseMatrix::AddSparse(const SparseMatrix& other) const {

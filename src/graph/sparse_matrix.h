@@ -1,5 +1,6 @@
 #pragma once
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -97,11 +98,34 @@ class SparseMatrix {
   /// Returns the explicit transpose in CSR form.
   SparseMatrix Transposed() const;
 
-  /// Sparse-sparse product this * other (used to materialize 2-order DP
-  /// reachability for AMUD). `max_row_nnz`, if positive, caps the per-row
-  /// fill-in by keeping the largest-magnitude entries (density guard).
+  /// Sparse-sparse product this * other (DP reachability, proximity
+  /// operators). `max_row_nnz`, if positive, caps the per-row fill-in by
+  /// keeping the largest-magnitude entries (density guard).
   SparseMatrix MultiplySparse(const SparseMatrix& other,
                               int64_t max_row_nnz = 0) const;
+
+  /// Row-block size of ForEachProductRow. It does not depend on the thread
+  /// count, so per-block results combined in block order are deterministic.
+  static constexpr int64_t kProductRowBlock = 256;
+
+  /// Receives one row of a product: `values[i]` is stored at column
+  /// `cols[i]`, in the order the row's accumulation first touched them.
+  using ProductRowSink =
+      std::function<void(int64_t block, int64_t row,
+                         const std::vector<int64_t>& cols,
+                         const std::vector<float>& values)>;
+
+  /// The row kernel of MultiplySparse: streams each row of this * other to
+  /// `sink` exactly as MultiplySparse stores it (Gustavson's algorithm with
+  /// a dense float accumulator, same `max_row_nnz` cut), without building
+  /// the product. O(Σ_r Σ_{k∈row r} nnz(other row k)) time and
+  /// O(other.cols()) memory per thread. Rows run in kProductRowBlock-row
+  /// blocks under ParallelFor: `sink` runs concurrently for different
+  /// blocks and in increasing row order within one. Rows with
+  /// `row_mask[r] == 0` are skipped (empty mask = every row).
+  void ForEachProductRow(const SparseMatrix& other, int64_t max_row_nnz,
+                         const std::vector<uint8_t>& row_mask,
+                         const ProductRowSink& sink) const;
 
   /// Entrywise sum of two same-shape sparse matrices.
   SparseMatrix AddSparse(const SparseMatrix& other) const;

@@ -331,7 +331,8 @@ Matrix* AdpaModel::EvalFuse(const std::vector<const Matrix*>& blocks,
       Matrix* pair = ws->Acquire(rows, 2 * cols);
       Matrix* scaled = ws->Acquire(rows, cols);
       for (int64_t g = 1; g < num_blocks; ++g) {
-        ConcatColsInto({blocks[g], acc}, pair);
+        views.assign({blocks[g], acc});  // analyze:allow(alloc): thread_local capacity reuse
+        ConcatColsInto(views, pair);
         Matrix* score = EvalLinear(recursive_layers_[g], *pair, ws);
         SigmoidInPlace(score);
         ScaleRowsInto(*blocks[g], *score, scaled);

@@ -42,6 +42,16 @@ TEST(AmudCorrelationTest, DiagonalEntriesAreIgnored) {
                    PatternLabelCorrelation(without, {0, 0, 1, 1}));
 }
 
+TEST(AmudCorrelationTest, MaskedIgnoresPairsWithAnUnknownEndpoint) {
+  // Known {0, 1, 2}: 6 ordered pairs, 2 of them same-label (0<->1). The
+  // entries 0->3 and 3->2 touch the unknown node 3 and must not count, so
+  // the connected pairs are exactly the same-label ones: phi = 1.
+  SparseMatrix reach = SparseMatrix::FromTriplets(
+      4, 4, {{0, 1, 1.0f}, {1, 0, 1.0f}, {0, 3, 1.0f}, {3, 2, 1.0f}});
+  EXPECT_NEAR(PatternLabelCorrelationMasked(reach, {0, 0, 1, 1}, {0, 1, 2}),
+              1.0, 1e-12);
+}
+
 TEST(AmudCorrelationTest, SampledEstimatorAgreesWithExact) {
   DsbmConfig config;
   config.num_nodes = 300;

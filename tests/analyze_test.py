@@ -68,10 +68,19 @@ class AnalyzeRuleTest(unittest.TestCase):
         self.assertIn("HotCaller()", hits[0][2])
 
     def test_all_waiver_placements_suppress(self):
-        # Site waiver, call-site waiver, and decl-level leaf waiver each
-        # silence their allocation.
+        # Site waiver and decl-level leaf waiver each silence their
+        # allocation.
         self.assertEqual(hits_for(self.findings, "src/serve/hot_waived.cc"),
                          [])
+
+    def test_waiver_on_call_line_still_walks_the_callee(self):
+        # The waiver covers the push_back on its line, not the allocation
+        # inside the function called on that line.
+        hits = hits_for(self.findings, "src/serve/hot_waived_call.cc")
+        self.assertEqual([(line, rule) for line, rule, _ in hits],
+                         [(11, "hot-alloc")])
+        self.assertIn("'resize'", hits[0][2])
+        self.assertIn("MakeRow <- HotWaivedLineCall", hits[0][2])
 
     def test_templated_hot_function_is_a_root(self):
         hits = hits_for(self.findings, "src/tensor/hot_template.cc")

@@ -146,6 +146,32 @@ TEST(InferenceSessionTest, ForwardRowsEqualsFullForwardRows) {
   }
 }
 
+// Recursive DP attention rebuilds its two-block concat list at every step
+// in the per-thread scratch; a second ForwardRows reuses that list and must
+// still give the tape eval forward's rows bit for bit.
+TEST(InferenceSessionTest, RecursiveForwardRowsRepeatsTapeEvalRows) {
+  ModelConfig config = SmallConfig();
+  config.dp_attention = DpAttention::kRecursive;
+  SessionFixture fixture(config);
+  serve::InferenceSession session = fixture.Session();
+  const std::vector<int64_t> nodes = {3, 41, 0, 3, 59};
+  const Matrix& expected = fixture.eval_logits;
+  for (int pass = 0; pass < 2; ++pass) {
+    Result<Matrix> rows = session.ForwardRows(nodes);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->rows(), static_cast<int64_t>(nodes.size()));
+    ASSERT_EQ(rows->cols(), expected.cols());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(std::memcmp(rows->Row(static_cast<int64_t>(i)),
+                            expected.Row(nodes[i]),
+                            static_cast<size_t>(expected.cols()) *
+                                sizeof(float)),
+                0)
+          << "pass " << pass << " row " << i << " (node " << nodes[i] << ")";
+    }
+  }
+}
+
 TEST(InferenceSessionTest, RejectsBadInputs) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();

@@ -1,7 +1,10 @@
 // Tests for the CSR SparseMatrix: construction invariants, kernels vs dense
 // references, and the normalization family.
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +100,40 @@ TEST(SparseMatrixTest, MultiplySparseRowCapKeepsStrongestEntries) {
   EXPECT_FLOAT_EQ(capped.At(0, 0), 5.0f);
   EXPECT_FLOAT_EQ(capped.At(0, 2), -3.0f);
   EXPECT_FLOAT_EQ(capped.At(0, 1), 0.0f);  // weakest entry dropped
+}
+
+TEST(SparseMatrixTest, ForEachProductRowStreamsTheStoredProductRows) {
+  // 600 rows span three row blocks; the cap cuts most rows.
+  const SparseMatrix a = RandomSparse(600, 80, 3000, 21);
+  const SparseMatrix b = RandomSparse(80, 70, 1500, 22);
+  const SparseMatrix product = a.MultiplySparse(b, /*max_row_nnz=*/12);
+  std::vector<uint8_t> mask(600, 1);
+  for (int64_t r = 0; r < 600; r += 3) mask[r] = 0;
+  // Each row is owned by one block, so per-row slots need no lock.
+  std::vector<int> visits(600, 0);
+  std::vector<std::vector<std::pair<int64_t, float>>> rows(600);
+  std::vector<int64_t> blocks(600, -1);
+  a.ForEachProductRow(b, /*max_row_nnz=*/12, mask,
+                      [&](int64_t block, int64_t row,
+                          const std::vector<int64_t>& cols,
+                          const std::vector<float>& values) {
+                        ++visits[row];
+                        blocks[row] = block;
+                        for (size_t i = 0; i < cols.size(); ++i) {
+                          rows[row].emplace_back(cols[i], values[i]);
+                        }
+                      });
+  for (int64_t r = 0; r < 600; ++r) {
+    ASSERT_EQ(visits[r], mask[r]) << "row " << r;
+    if (mask[r] == 0) continue;
+    EXPECT_EQ(blocks[r], r / SparseMatrix::kProductRowBlock);
+    std::sort(rows[r].begin(), rows[r].end());
+    std::vector<std::pair<int64_t, float>> stored;
+    for (int64_t p = product.row_ptr()[r]; p < product.row_ptr()[r + 1]; ++p) {
+      stored.emplace_back(product.col_idx()[p], product.values()[p]);
+    }
+    EXPECT_EQ(rows[r], stored) << "row " << r;
+  }
 }
 
 TEST(SparseMatrixTest, AddSparseMatchesDense) {

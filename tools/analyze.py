@@ -61,9 +61,10 @@ Waiver placement (`// analyze:allow(<id>)[: reason]`):
   * on the flagged line or the line directly above it — suppresses that
     site (hot-alloc: the allocation; guard-coverage: the member;
     untrusted-size: the sink or multiply; unchecked-status: the call);
-  * hot-alloc / untrusted-size, on a *call* line (or the line above) — the
-    analyzer does not traverse into / import taint from that callee at
-    this site;
+  * untrusted-size, on a *call* line (or the line above) — the analyzer
+    does not import taint from that callee at this site. A hot-alloc
+    waiver on a call line covers that line's own allocation only: the
+    callee is still walked, so `v.push_back(F(...))` cannot hide F;
   * on a function *declaration* — hot-alloc: the whole callee is treated
     as an allocation-free leaf everywhere it is called; untrusted-size:
     the callee's outputs are trusted (no taint imported from it);
@@ -1395,8 +1396,11 @@ def report_hot_alloc(model):
                     "(via %s); reuse capacity or waive with "
                     "analyze:allow(alloc)" % (
                         token, chain[-1], " <- ".join(chain))))
-            for callee, _, call_waived in fn.calls:
-                if call_waived or callee in model.leaf_names:
+            # A waiver on a call line covers that line's own allocation
+            # only: the callee is still walked, so `v.push_back(F(...))`
+            # with a waived push_back cannot hide an allocation inside F.
+            for callee, _, _ in fn.calls:
+                if callee in model.leaf_names:
                     continue
                 if callee in visited or callee not in model.functions:
                     continue

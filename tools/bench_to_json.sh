@@ -57,7 +57,7 @@ if [ ! -x "$BENCH_BIN" ]; then
 fi
 
 "$BENCH_BIN" \
-  --benchmark_filter='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|MatMulTransposeA|MatMulTransposeB|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused|AdpaTrainEpoch)' \
+  --benchmark_filter='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|MatMulTransposeA|MatMulTransposeB|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused|AdpaTrainEpoch|AmudAnalysis|SelectPatterns)' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$OUT_FILE"
